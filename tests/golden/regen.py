@@ -1,0 +1,123 @@
+"""Golden records: exact outputs of fixed configs, pinned so that a change
+which moves a number is seen even when it moves it the same way on every run.
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+rewrites ``tests/golden/records.json`` from the entries below.  Regenerate
+only in a change whose CHANGES.md entry names each field that moved and why.
+``tests/test_golden.py`` recomputes every entry and compares it with the file
+exactly; floats are compared by their ``repr``.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+
+from jsccsim.channels import bsc
+from jsccsim.energy import EnergyBudget, lossy_energy_error_bound
+from jsccsim.harness import run
+from jsccsim.ratedist import bernoulli_hamming
+from jsccsim.vlf import uniform_prior, vlft_length_via_sum
+
+PATH = Path(__file__).with_name("records.json")
+
+BSC = {"kind": "bsc", "delta": 0.11}
+BERN = {"kind": "bernoulli", "p": 0.5}
+GAMMA = math.log(100)
+
+# (name, config, workers): the seven determinism configs of test_c11, then
+# every config of the eight benchmark workloads (copied as data, with fixed
+# seeds), then one average-distortion pipeline.
+RUNS = [
+    ("c11_stop_feedback",
+     {"kind": "stop_feedback", "channel": BSC, "prior": {"kind": "uniform", "M": 16},
+      "gamma_nats": float(np.log(100)), "trials": 1000, "seed": 1101}, 1),
+    ("c11_vlft",
+     {"kind": "vlft", "channel": BSC, "prior": {"kind": "uniform", "M": 8},
+      "trials": 1000, "seed": 1102}, 1),
+    ("c11_sk", {"kind": "sk", "P": 1.0, "n": 5, "trials": 5000, "seed": 1103}, 1),
+    ("c11_energy_vl",
+     {"kind": "energy_vl", "prior": {"kind": "uniform", "M": 256}, "N0": 2.0,
+      "trials": 1000, "seed": 1104}, 1),
+    ("c11_ppm", {"kind": "ppm", "E": 8.0, "m": 4, "N0": 2.0, "trials": 5000,
+                 "seed": 1105}, 1),
+    ("c11_jscc_excess",
+     {"kind": "jscc_excess", "channel": BSC, "source": BERN, "k": 8, "d": 0.125,
+      "eps": 0.1, "split": [0.05, 0.05], "trials": 1000, "seed": 1106}, 1),
+    ("c11_jscc_guaranteed",
+     {"kind": "jscc_guaranteed", "channel": BSC, "source": BERN, "k": 2, "d": 0.5,
+      "trials": 1000, "seed": 1107}, 1),
+    ("bench_small_m_stop_feedback_uniform",
+     {"kind": "stop_feedback", "channel": BSC, "prior": {"kind": "uniform", "M": 16},
+      "gamma_nats": GAMMA, "trials": 1000, "seed": 0}, 1),
+    ("bench_small_m_stop_feedback_geometric",
+     {"kind": "stop_feedback", "channel": BSC, "prior": {"kind": "geometric", "q": 0.6},
+      "gamma_nats": GAMMA, "trials": 1000, "seed": 0}, 1),
+    ("bench_small_m_vlft_8",
+     {"kind": "vlft", "channel": BSC, "prior": {"kind": "uniform", "M": 8},
+      "decode_rule": "map_stop", "trials": 1000, "seed": 0}, 1),
+    ("bench_small_m_vlft_64",
+     {"kind": "vlft", "channel": BSC, "prior": {"kind": "uniform", "M": 64},
+      "decode_rule": "map_stop", "trials": 1000, "seed": 0}, 1),
+    ("bench_small_m_jscc_guaranteed",
+     {"kind": "jscc_guaranteed", "channel": BSC, "source": BERN, "k": 2, "d": 0.5,
+      "trials": 1000, "seed": 0}, 1),
+    ("bench_excess_large_m",
+     {"kind": "jscc_excess", "channel": BSC, "source": BERN, "k": 20, "d": 0.125,
+      "eps": 0.1, "split": [0.05, 0.05], "trials": 20, "seed": 0}, 1),
+    ("bench_awgn_sk", {"kind": "sk", "P": 1.0, "n": 10, "trials": 200000, "seed": 0}, 1),
+    ("bench_awgn_ppm", {"kind": "ppm", "E": 12.0, "m": 16, "N0": 2.0,
+                        "trials": 100000, "seed": 0}, 1),
+    ("bench_awgn_energy_vl",
+     {"kind": "energy_vl", "prior": {"kind": "uniform", "M": 256}, "N0": 2.0,
+      "trials": 2000, "seed": 0}, 1),
+    ("bench_sf_workers2",
+     {"kind": "stop_feedback", "channel": BSC, "prior": {"kind": "uniform", "M": 16},
+      "gamma_nats": GAMMA, "trials": 1000, "seed": 0}, 2),
+    ("jscc_average_k8_m64",
+     {"kind": "jscc_average", "channel": BSC, "source": BERN, "k": 8, "d": 0.11,
+      "M": 64, "trials": 400, "seed": 43}, 1),
+]
+
+
+def _lossy(k, d, M, E1, E2, seed, trials):
+    return lambda: lossy_energy_error_bound(
+        bernoulli_hamming(0.5), k, d, M, EnergyBudget(E1=E1, E2=E2), 2.0, seed, trials)
+
+
+# (name, thunk): estimators that do not go through harness.run; their
+# results are pinned by repr.
+CALLS = [
+    ("lossy_energy_k6_m64", _lossy(6, 0.2, 64, 8.0, 6.0, 21, 300)),
+    ("lossy_energy_rate_zero", _lossy(4, 1.0, 8, 3.0, 3.0, 20, 300)),
+    ("vlft_length_via_sum_m8",
+     lambda: vlft_length_via_sum(bsc(0.11), uniform_prior(8), 404, 200)),
+]
+
+
+def canonical(value) -> str:
+    """JSON text with sorted keys; json writes floats by repr."""
+    return json.dumps(value, sort_keys=True)
+
+
+def compute_run(config: dict, workers: int) -> dict:
+    return json.loads(canonical(run(dict(config), workers=workers).stripped()))
+
+
+def compute() -> dict:
+    return {
+        "numpy": np.__version__,
+        "runs": [{"name": name, "workers": workers, "config": config,
+                  "record": compute_run(config, workers)}
+                 for name, config, workers in RUNS],
+        "calls": [{"name": name, "repr": repr(thunk())} for name, thunk in CALLS],
+    }
+
+
+if __name__ == "__main__":
+    PATH.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {PATH}")
