@@ -18,7 +18,7 @@ from scipy.special import log_ndtr, ndtr
 
 from .info import LN2, entropy, normal_tail, normal_tail_inv
 from .ratedist import RdSolution
-from .rng import RngStream, seed_stream
+from .rng import RngStream, half_width, run_trials, seed_stream
 from .vlf import MessagePrior
 
 
@@ -301,7 +301,7 @@ def lossy_energy_error_bound(src, k: int, d: float, M: int,
 
     Returns (bound, mc_failure_rate, mc_half_width).
     """
-    from .jscc import LossyCodebook, analytic_miss, dball_encode, type_ball_probs
+    from .jscc import analytic_miss, dball_encode, lossy_trial, type_ball_probs
     from .ratedist import SourceModel, ba_rate_distortion, d_min_max
 
     if k > 12:
@@ -334,33 +334,27 @@ def lossy_energy_error_bound(src, k: int, d: float, M: int,
     sd = np.sqrt(N0 / 2.0)
     pmf_cum = np.cumsum(src.pmf)
     dm = src.distortion
-    fails = np.zeros(trials)
-    for t in range(trials):
-        rng = seed_stream(master_seed, t)
-        s = np.searchsorted(pmf_cum, rng.uniforms(k), side="right")
-        cb = LossyCodebook(rng.derive(3).key, k, M, rd.output_pmf)
+
+    def trial(t):
+        rng, s, cb = lossy_trial(master_seed, t, pmf_cum, k, M, rd.output_pmf)
         w0, hit = dball_encode(s, cb, d, dm)
         W = w0 + 1  # 1-based index, most likely first
         ell = int(np.floor(np.log2(W)))
         # header PPM decision among L messages at energy E2
         zh = rng.normals(L) * sd
         zh[ell] += np.sqrt(E2)
-        ell_hat = int(np.argmax(zh))
-        if ell_hat != ell:
-            fails[t] = 1.0
-            continue
+        if int(np.argmax(zh)) != ell:
+            return (1.0,)
         # payload ML among the 2^ell-sized length group at energy E1
         lo = 2 ** ell
         hi = min(2 ** (ell + 1) - 1, M)
-        g = hi - lo + 1
-        zp = rng.normals(g) * sd
+        zp = rng.normals(hi - lo + 1) * sd
         zp[W - lo] += np.sqrt(E1)
-        W_hat = lo + int(np.argmax(zp))
-        z = cb.chunk(W_hat - 1, 1)[0]
-        fails[t] = float((not hit) or dm[s, z].mean() > d + 1e-12)
-    rate = float(fails.mean())
-    hw = float(1.96 * fails.std(ddof=1) / np.sqrt(trials))
-    return bound, rate, hw
+        z = cb.chunk(lo + int(np.argmax(zp)) - 1, 1)[0]
+        return (float((not hit) or dm[s, z].mean() > d + 1e-12),)
+
+    fails = run_trials(trial, trials)[:, 0]
+    return bound, float(fails.mean()), half_width(fails)
 
 
 # ---------------------------------------------------------------------------

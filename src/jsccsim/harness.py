@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ from .channels import Dmc, bec, bsc
 from .info import LN2
 from .ratedist import (SourceModel, ba_rate_distortion, bernoulli_hamming,
                        discrete_source, gaussian_source, source_expansion)
-from .rng import seed_stream
+from .rng import half_width, run_trials, seed_stream
 from .vlf import (MessagePrior, geometric_prior, stop_feedback_length_bound,
                   stop_feedback_trial, uniform_prior, vlft_trial)
 
@@ -107,25 +106,13 @@ def validate(config: dict) -> dict:
     return config
 
 
-def run_trials(fn, trials: int, workers: int = 1) -> np.ndarray:
-    """Evaluate fn(trial_id) -> tuple of floats for all ids; results stacked
-    in trial-id order regardless of worker count."""
-    if workers <= 1:
-        rows = [fn(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(fn, range(trials)))
-    return np.asarray(rows, dtype=np.float64)
-
-
 def _stat(x: np.ndarray, require_ci: bool = True):
     n = x.size
     if require_ci and n < MIN_TRIALS_FOR_CI:
         raise ConfigError(
             f"invalid field: trials={n} below the {MIN_TRIALS_FOR_CI} minimum "
             "for normal-approximation confidence intervals")
-    hw = 1.96 * float(x.std(ddof=1)) / np.sqrt(n) if n > 1 else 0.0
-    return {"estimate": float(x.mean()), "half_width": hw, "n": int(n)}
+    return {"estimate": float(x.mean()), "half_width": half_width(x), "n": int(n)}
 
 
 def _se(metric):  # standard error back out of the 95% half-width
@@ -142,11 +129,11 @@ def run(config: dict, workers: int = 1) -> RunRecord:
     elif kind == "vlft":
         rec = _run_vlft(config, workers)
     elif kind == "jscc_excess":
-        rec = _run_jscc_excess(config)
+        rec = _run_jscc_excess(config, workers)
     elif kind == "jscc_average":
-        rec = _run_jscc_average(config)
+        rec = _run_jscc_average(config, workers)
     elif kind == "jscc_guaranteed":
-        rec = _run_jscc_guaranteed(config)
+        rec = _run_jscc_guaranteed(config, workers)
     elif kind == "sk":
         rec = _run_sk(config)
     elif kind == "energy_vl":
@@ -206,7 +193,7 @@ def _run_vlft(cfg, workers):
     return RunRecord(cfg["kind"], cfg, metrics, bounds, violations)
 
 
-def _run_jscc_excess(cfg):
+def _run_jscc_excess(cfg, workers):
     from .jscc import simulate_excess
 
     dmc = _channel_from(_need(cfg, "channel"))
@@ -215,7 +202,7 @@ def _run_jscc_excess(cfg):
     rd = ba_rate_distortion(src, d)
     split = tuple(cfg["split"]) if "split" in cfg else None
     st = simulate_excess(k, d, eps, dmc, rd, cfg["seed"], cfg["trials"],
-                         split=split, mode=cfg.get("mode"))
+                         split=split, mode=cfg.get("mode"), workers=workers)
     metrics = {
         "tau": {"estimate": st.ell_hat, "half_width": st.ell_half_width,
                 "n": st.trials},
@@ -231,7 +218,7 @@ def _run_jscc_excess(cfg):
     return RunRecord(cfg["kind"], cfg, metrics, bounds, violations)
 
 
-def _run_jscc_average(cfg):
+def _run_jscc_average(cfg, workers):
     from .jscc import simulate_average
 
     dmc = _channel_from(_need(cfg, "channel"))
@@ -239,7 +226,7 @@ def _run_jscc_average(cfg):
     k, d = int(_need(cfg, "k")), float(_need(cfg, "d"))
     rd = ba_rate_distortion(src, d)
     st = simulate_average(k, d, dmc, rd, cfg["seed"], cfg["trials"],
-                          M=cfg.get("M"))
+                          M=cfg.get("M"), workers=workers)
     metrics = {
         "tau": {"estimate": st.ell_hat, "half_width": st.ell_half_width,
                 "n": st.trials},
@@ -250,13 +237,14 @@ def _run_jscc_average(cfg):
     return RunRecord(cfg["kind"], cfg, metrics, {"d_target": d})
 
 
-def _run_jscc_guaranteed(cfg):
+def _run_jscc_guaranteed(cfg, workers):
     from .jscc import simulate_guaranteed
 
     dmc = _channel_from(_need(cfg, "channel"))
     src = _source_from(_need(cfg, "source"))
     k, d = int(_need(cfg, "k")), float(_need(cfg, "d"))
-    st = simulate_guaranteed(k, d, dmc, src, cfg["seed"], cfg["trials"])
+    st = simulate_guaranteed(k, d, dmc, src, cfg["seed"], cfg["trials"],
+                             workers=workers)
     metrics = {"tau": {"estimate": st.ell_hat, "half_width": st.ell_half_width,
                        "n": st.trials},
                "violations": {"estimate": st.failure_hat, "half_width": 0.0,

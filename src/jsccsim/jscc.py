@@ -18,7 +18,7 @@ import numpy as np
 from .channels import Dmc
 from .info import normal_tail_inv
 from .ratedist import RdSolution, brute_force_deps_entropy, source_expansion
-from .rng import RngStream, keyed_uniforms_2d, seed_stream
+from .rng import RngStream, half_width, keyed_uniforms_2d, run_trials, seed_stream
 from .vlf import (FULL_DECODER_MAX_SUPPORT, MessagePrior, stop_feedback_transmit,
                   vlft_transmit)
 
@@ -181,12 +181,20 @@ class PipelineStats:
     config: dict = field(default_factory=dict)
 
 
-def _ci(x: np.ndarray) -> float:
-    return 1.96 * float(np.std(x, ddof=1)) / np.sqrt(x.size)
-
-
 def _sample_block(pmf_cum: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
     return np.searchsorted(pmf_cum, rng.uniforms(k), side="right")
+
+
+def lossy_trial(master_seed: int, t: int, pmf_cum: np.ndarray, k: int, M: int,
+                output_pmf: np.ndarray):
+    """Trial t's stream, its source block and its random lossy codebook.
+
+    The codebook is keyed by sub-stream 3 of the trial; the channel code that
+    follows takes sub-stream 4.
+    """
+    rng = seed_stream(master_seed, t)
+    s = _sample_block(pmf_cum, k, rng)
+    return rng, s, LossyCodebook(rng.derive(3).key, k, M, output_pmf)
 
 
 def default_budget_split(eps: float, k: int):
@@ -202,7 +210,7 @@ def default_budget_split(eps: float, k: int):
 def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
                     master_seed: int, trials: int, split=None,
                     sizing: str = "analytic", mode: str | None = None,
-                    M: int | None = None) -> PipelineStats:
+                    M: int | None = None, workers: int = 1) -> PipelineStats:
     """Excess-distortion pipeline: d-ball source code + stop-feedback channel
     code with the analytic index distribution as message prior.
 
@@ -227,27 +235,22 @@ def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
 
     pmf_cum = np.cumsum(rd.source.pmf)
     dm = rd.source.distortion
-    taus = np.empty(trials)
-    fails = np.zeros(trials)
-    dists = np.empty(trials)
-    for t in range(trials):
-        rng = seed_stream(master_seed, t)
-        s = _sample_block(pmf_cum, k, rng)
-        cb = LossyCodebook(rng.derive(3).key, k, M, rd.output_pmf)
+
+    def trial(t):
+        rng, s, cb = lossy_trial(master_seed, t, pmf_cum, k, M, rd.output_pmf)
         w, hit = dball_encode(s, cb, d, dm)
         tr = stop_feedback_transmit(dmc, prior, gamma, w, mode, rng.derive(4))
-        taus[t] = tr.tau
         decoded = tr.decoded if mode == "full_decoder" else w
-        z = cb.chunk(decoded, 1)[0]
-        dists[t] = float(dm[s, z].mean())
-        fails[t] = float((not hit) or dists[t] > d + 1e-12)
+        dist = float(dm[s, cb.chunk(decoded, 1)[0]].mean())
+        return tr.tau, float((not hit) or dist > d + 1e-12), dist
+
+    taus, fails, dists = run_trials(trial, trials, workers).T
     failure = fails.mean()
-    fhw = _ci(fails)
     if mode == "true_path":
         failure += np.exp(-gamma)  # analytic channel-error allowance
     return PipelineStats(
-        ell_hat=float(taus.mean()), ell_half_width=_ci(taus),
-        failure_hat=float(failure), failure_half_width=float(fhw),
+        ell_hat=float(taus.mean()), ell_half_width=half_width(taus),
+        failure_hat=float(failure), failure_half_width=half_width(fails),
         avg_distortion=float(dists[fails == 0].mean()) if (fails == 0).any() else float("nan"),
         trials=trials, mode=mode,
         config={"k": k, "d": d, "eps": eps, "split": (eps_src, eps_ch),
@@ -258,7 +261,7 @@ def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
 
 def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
                      master_seed: int, trials: int, M: int | None = None,
-                     holder_p: float = 2.0) -> PipelineStats:
+                     holder_p: float = 2.0, workers: int = 1) -> PipelineStats:
     """Average-distortion pipeline: min-distortion encoder over a random
     codebook, uniform-prior stop-feedback channel code with error budget
     k^(1/p - 2).  Reports the end-to-end average distortion (channel errors
@@ -275,34 +278,28 @@ def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
 
     pmf_cum = np.cumsum(rd.source.pmf)
     dm = rd.source.distortion
-    taus = np.empty(trials)
-    errs = np.zeros(trials)
-    dists = np.empty(trials)
-    src_dists = np.empty(trials)
-    for t in range(trials):
-        rng = seed_stream(master_seed, t)
-        s = _sample_block(pmf_cum, k, rng)
-        cb = LossyCodebook(rng.derive(3).key, k, M, rd.output_pmf)
+
+    def trial(t):
+        rng, s, cb = lossy_trial(master_seed, t, pmf_cum, k, M, rd.output_pmf)
         w = min_distortion_encode(s, cb, dm)
         tr = stop_feedback_transmit(dmc, prior, gamma, w, "full_decoder",
                                     rng.derive(4))
-        taus[t] = tr.tau
-        errs[t] = tr.error
-        src_dists[t] = float(dm[s, cb.chunk(w, 1)[0]].mean())
-        z = cb.chunk(tr.decoded, 1)[0]
-        dists[t] = float(dm[s, z].mean())
+        return (tr.tau, tr.error, float(dm[s, cb.chunk(tr.decoded, 1)[0]].mean()),
+                float(dm[s, cb.chunk(w, 1)[0]].mean()))
+
+    taus, errs, dists, src_dists = run_trials(trial, trials, workers).T
     return PipelineStats(
-        ell_hat=float(taus.mean()), ell_half_width=_ci(taus),
-        failure_hat=float(errs.mean()), failure_half_width=_ci(errs),
+        ell_hat=float(taus.mean()), ell_half_width=half_width(taus),
+        failure_hat=float(errs.mean()), failure_half_width=half_width(errs),
         avg_distortion=float(dists.mean()), trials=trials, mode="full_decoder",
         config={"k": k, "d": d, "M": M, "gamma_nats": gamma,
-                "distortion_half_width": _ci(dists),
+                "distortion_half_width": half_width(dists),
                 "source_distortion": float(src_dists.mean()),
-                "source_distortion_half_width": _ci(src_dists)})
+                "source_distortion_half_width": half_width(src_dists)})
 
 
 def simulate_guaranteed(k: int, d: float, dmc: Dmc, rd, master_seed: int,
-                        trials: int) -> PipelineStats:
+                        trials: int, workers: int = 1) -> PipelineStats:
     """Guaranteed-distortion pipeline: the entropy-minimizing d-covering map
     on S^k feeding the zero-error VLFT code.  Every trial must meet the
     distortion target; a violation raises immediately.
@@ -333,21 +330,20 @@ def simulate_guaranteed(k: int, d: float, dmc: Dmc, rd, master_seed: int,
 
     pmf_cum = np.cumsum(src.pmf)
     dm = src.distortion
-    taus = np.empty(trials)
-    violations = 0
-    for t in range(trials):
+
+    def trial(t):
         rng = seed_stream(master_seed, t)
         s = _sample_block(pmf_cum, k, rng)
         w = int(w_of_block[int(np.dot(s, digits))])
         tr = vlft_transmit(dmc, prior, w, rng.derive(4))
-        taus[t] = tr.tau
-        z = cw_table[tr.decoded]
-        if float(dm[s, z].mean()) > d + 1e-12:
-            violations += 1
+        return tr.tau, float(dm[s, cw_table[tr.decoded]].mean()) > d + 1e-12
+
+    taus, violated = run_trials(trial, trials, workers).T
+    violations = int(violated.sum())
     if violations:
         raise AssertionError(f"guaranteed-distortion violated in {violations} trials")
     return PipelineStats(
-        ell_hat=float(taus.mean()), ell_half_width=_ci(taus),
+        ell_hat=float(taus.mean()), ell_half_width=half_width(taus),
         failure_hat=0.0, failure_half_width=0.0, avg_distortion=float("nan"),
         trials=trials, mode="vlft",
         config={"k": k, "d": d, "map_entropy_nats": H,

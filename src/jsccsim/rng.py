@@ -1,4 +1,5 @@
-"""Counter-based random number streams for reproducible parallel Monte Carlo.
+"""Counter-based random number streams for reproducible parallel Monte Carlo,
+and the one driver that runs every Monte-Carlo estimator's trials.
 
 Every stream is a pure function of (master seed, stream id, counter), so a
 trial can be replayed bit-exactly and trials can be dispatched to any number
@@ -7,6 +8,8 @@ counter hash: output i of a stream is finalize(key + i * GOLDEN).
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import ndtri
@@ -101,3 +104,24 @@ class RngStream:
 def seed_stream(master_seed: int, trial_id: int) -> RngStream:
     """Stream for one trial; the (master, trial) -> stream map is injective."""
     return RngStream(master_seed, trial_id)
+
+
+def run_trials(fn, trials: int, workers: int = 1) -> np.ndarray:
+    """Evaluate fn(trial_id) -> tuple of floats for every id in range(trials)
+    and stack the rows in trial-id order.
+
+    A trial that draws only from ``seed_stream(seed, trial_id)`` is a pure
+    function of its id, so the rows, and every reduction over them, are the
+    same for any worker count.
+    """
+    if workers <= 1:
+        rows = list(map(fn, range(trials)))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(fn, range(trials)))
+    return np.asarray(rows, dtype=np.float64)
+
+
+def half_width(x: np.ndarray) -> float:
+    """95% normal-approximation half-width of the mean of x; 0.0 for one sample."""
+    return float(1.96 * float(x.std(ddof=1)) / np.sqrt(x.size)) if x.size > 1 else 0.0

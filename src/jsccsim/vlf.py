@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import Dmc
 from .info import entropy
-from .rng import RngStream, keyed_uniforms_2d
+from .rng import RngStream, keyed_uniforms_2d, run_trials, seed_stream
 
 TRIAL_USE_CAP = 10 ** 9
 _BLOCK0 = 32
@@ -330,12 +330,9 @@ def vlft_length_via_sum(dmc: Dmc, prior: MessagePrior, master_seed: int,
     Scales to arbitrarily large message sets.  Raises if the summand has not
     decayed below tail_tol by n_max.
     """
-    from .rng import seed_stream
-
-    vals = np.empty(trials)
-    tails = np.empty(trials)
-    for t in range(trials):
-        vals[t], tails[t] = vlft_sum_trial(dmc, prior, seed_stream(master_seed, t), n_max)
+    vals, tails = run_trials(
+        lambda t: vlft_sum_trial(dmc, prior, seed_stream(master_seed, t), n_max),
+        trials).T
     if tails.mean() > tail_tol:
         raise RuntimeError(
             f"length-sum tail not converged: mean summand at n_max={n_max} is "

@@ -45,3 +45,12 @@ def test_golden_record(name):
 def test_golden_call(name):
     got = repr(dict(regen.CALLS)[name]())
     assert got == CALLS[name], f"{name}: {got} != {CALLS[name]} ({_versions()})"
+
+
+@pytest.mark.parametrize("name", ["c11_jscc_excess", "jscc_average_k8_m64",
+                                  "c11_jscc_guaranteed"])
+def test_jscc_record_does_not_depend_on_worker_count(name):
+    entry = RUNS[name]
+    got = regen.compute_run(entry["config"], 3)
+    assert regen.canonical(got) == regen.canonical(entry["record"]), (
+        f"{name}: workers=3 differs from the workers=1 golden record")
