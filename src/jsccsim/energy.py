@@ -169,9 +169,7 @@ def vl_feedback_energy_trial(prior: MessagePrior, transmitter, rng: RngStream,
     """
     if codewords is None:
         codewords = huffman_code(prior)
-    w = int(np.searchsorted(prior.cum, rng.uniforms(1)[0], side="right"))
-    w = min(w, prior.size - 1)
-    word = codewords[w]
+    word = codewords[prior.sample(rng)]
     energy = 0.0
     received = []
     for ch in word:
@@ -302,22 +300,14 @@ def lossy_energy_error_bound(src, k: int, d: float, M: int,
     Returns (bound, mc_failure_rate, mc_half_width).
     """
     from .jscc import analytic_miss, dball_encode, lossy_trial, type_ball_probs
-    from .ratedist import SourceModel, ba_rate_distortion, d_min_max
+    from .ratedist import ba_rate_distortion, d_min_max, zero_rate_solution
 
     if k > 12:
         raise ValueError("exact ball probabilities limited to k <= 12")
     if not np.isscalar(budget.E1):
         raise ValueError("lossy bound uses the max-power budget")
-    dmin, dmax = d_min_max(src)
-    if d >= dmax:  # rate zero: single reproduction point covers everything
-        best_z = int(np.argmin(src.pmf @ src.distortion))
-        output_pmf = np.zeros(src.distortion.shape[1])
-        output_pmf[best_z] = 1.0
-        class _Stub:  # minimal RdSolution stand-in for type_ball_probs
-            pass
-        rd = _Stub(); rd.source = src; rd.output_pmf = output_pmf
-    else:
-        rd = ba_rate_distortion(src, d)
+    rd = (zero_rate_solution(src, d) if d >= d_min_max(src)[1]
+          else ba_rate_distortion(src, d))
     tp, pb = type_ball_probs(rd, k, d)
 
     E1, E2 = float(budget.E1), float(budget.E2)

@@ -27,9 +27,6 @@ from .vlf import (MessagePrior, geometric_prior, stop_feedback_length_bound,
 SCHEMA_VERSION = 1
 MIN_TRIALS_FOR_CI = 1000
 
-KINDS = ("stop_feedback", "vlft", "jscc_excess", "jscc_average",
-         "jscc_guaranteed", "sk", "energy_vl", "ppm", "bound")
-
 
 class ConfigError(ValueError):
     """Schema violation; the message names the offending field path."""
@@ -96,7 +93,7 @@ def validate(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("config must be a mapping")
     kind = _need(config, "kind")
-    if kind not in KINDS:
+    if kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind: kind={kind!r}")
     if kind != "bound":
         trials = _need(config, "trials")
@@ -122,26 +119,8 @@ def _se(metric):  # standard error back out of the 95% half-width
 def run(config: dict, workers: int = 1) -> RunRecord:
     """Dispatch a validated config to the matching simulator or evaluator."""
     config = validate(config)
-    kind = config["kind"]
     t0 = time.perf_counter()
-    if kind == "stop_feedback":
-        rec = _run_stop_feedback(config, workers)
-    elif kind == "vlft":
-        rec = _run_vlft(config, workers)
-    elif kind == "jscc_excess":
-        rec = _run_jscc_excess(config, workers)
-    elif kind == "jscc_average":
-        rec = _run_jscc_average(config, workers)
-    elif kind == "jscc_guaranteed":
-        rec = _run_jscc_guaranteed(config, workers)
-    elif kind == "sk":
-        rec = _run_sk(config)
-    elif kind == "energy_vl":
-        rec = _run_energy_vl(config, workers)
-    elif kind == "ppm":
-        rec = _run_ppm(config)
-    else:
-        rec = _run_bound(config)
+    rec = _RUNNERS[config["kind"]](config, workers)
     rec.wall_time_s = time.perf_counter() - t0
     return rec
 
@@ -253,7 +232,7 @@ def _run_jscc_guaranteed(cfg, workers):
     return RunRecord(cfg["kind"], cfg, metrics, bounds)
 
 
-def _run_sk(cfg):
+def _run_sk(cfg, workers):
     from .energy import sk_mse_batch
 
     sigma2 = float(cfg.get("sigma2", 1.0))
@@ -292,7 +271,7 @@ def _run_energy_vl(cfg, workers):
     return RunRecord(cfg["kind"], cfg, metrics, bounds, violations)
 
 
-def _run_ppm(cfg):
+def _run_ppm(cfg, workers):
     from .energy import ppm_error_prob, ppm_trials
 
     E, m = float(_need(cfg, "E")), int(_need(cfg, "m"))
@@ -307,7 +286,7 @@ def _run_ppm(cfg):
                      {"quadrature": bound}, violations)
 
 
-def _run_bound(cfg):
+def _run_bound(cfg, workers):
     """Pure evaluators: capacity, rate-distortion, expansions, converses."""
     from .energy import awgn_jscc_converse, energy_expansion
     from .jscc import naive_separation_bound
@@ -361,6 +340,21 @@ def _run_bound(cfg):
     metrics = {name: {"estimate": float(v), "half_width": 0.0, "n": 0}
                for name, v in out.items()}
     return RunRecord(cfg["kind"], cfg, metrics)
+
+
+# Experiment kind -> runner(cfg, workers).  sk and ppm are vectorised over
+# trials and bound runs none, so those three ignore workers.
+_RUNNERS = {
+    "stop_feedback": _run_stop_feedback,
+    "vlft": _run_vlft,
+    "jscc_excess": _run_jscc_excess,
+    "jscc_average": _run_jscc_average,
+    "jscc_guaranteed": _run_jscc_guaranteed,
+    "sk": _run_sk,
+    "energy_vl": _run_energy_vl,
+    "ppm": _run_ppm,
+    "bound": _run_bound,
+}
 
 
 def sweep(base: dict, grid: dict, workers: int = 1):

@@ -150,12 +150,6 @@ def choose_codebook_size(type_probs: np.ndarray, pballs: np.ndarray,
     return lo
 
 
-def expansion_codebook_size(k: int, d: float, eps_source: float,
-                            rd: RdSolution) -> int:
-    """M = exp(two-term rate expansion + log k safety margin)."""
-    return int(np.ceil(np.exp(source_expansion(k, d, eps_source, rd) + np.log(k))))
-
-
 def index_prior(type_probs: np.ndarray, pballs: np.ndarray, M: int) -> MessagePrior:
     """Analytic distribution of the d-ball encoder's index, miss folded into
     index 0.  A mixture of geometrics, hence non-increasing."""
@@ -208,8 +202,7 @@ def default_budget_split(eps: float, k: int):
 
 
 def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
-                    master_seed: int, trials: int, split=None,
-                    sizing: str = "analytic", mode: str | None = None,
+                    master_seed: int, trials: int, split=None, mode: str | None = None,
                     M: int | None = None, workers: int = 1) -> PipelineStats:
     """Excess-distortion pipeline: d-ball source code + stop-feedback channel
     code with the analytic index distribution as message prior.
@@ -226,8 +219,7 @@ def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
         raise ValueError("both budget components must be positive")
     tp, pb = type_ball_probs(rd, k, d)
     if M is None:
-        M = (choose_codebook_size(tp, pb, eps_src) if sizing == "analytic"
-             else expansion_codebook_size(k, d, eps_src, rd))
+        M = choose_codebook_size(tp, pb, eps_src)
     prior = index_prior(tp, pb, M)
     gamma = float(np.log(1.0 / eps_ch))
     if mode is None:

@@ -191,6 +191,14 @@ def lossless_solution(src: SourceModel) -> RdSolution:
                       lossless=True)
 
 
+def zero_rate_solution(src: SourceModel, d: float) -> RdSolution:
+    """Rate-zero point for d >= d_max (discrete sources): every block maps to
+    the one reproduction letter of least expected distortion."""
+    q = np.zeros(src.distortion.shape[1])
+    q[int(np.argmin(src.pmf @ src.distortion))] = 1.0
+    return RdSolution(source=src, d=d, rate=0.0, slope=0.0, output_pmf=q)
+
+
 def tilted_information(rd: RdSolution, s) -> np.ndarray | float:
     """d-tilted information j(s, d) = -log E_{Z*}[exp(-lam*(d(s,Z*) - d))].
 
@@ -211,11 +219,6 @@ def tilted_information(rd: RdSolution, s) -> np.ndarray | float:
     vals = -np.log(ex @ q)
     s = np.asarray(s)
     return vals[s] if s.ndim else float(vals[s])
-
-
-def tilted_table(rd: RdSolution) -> np.ndarray:
-    """Tilted information of every source letter (discrete sources)."""
-    return tilted_information(rd, np.arange(rd.source.pmf.size))
 
 
 def rate_dispersion(rd: RdSolution, src: SourceModel) -> float:

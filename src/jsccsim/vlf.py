@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dmc
+from .channels import Dmc, dmc_steps
 from .info import entropy
 from .rng import RngStream, keyed_uniforms_2d, run_trials, seed_stream
 
@@ -55,6 +55,11 @@ class MessagePrior:
     @property
     def sorted_desc(self) -> bool:
         return bool(np.all(np.diff(self.pmf) <= 1e-15))
+
+    def sample(self, rng: RngStream) -> int:
+        """One message index, drawn with the stream's next uniform."""
+        w = int(np.searchsorted(self.cum, rng.uniforms(1)[0], side="right"))
+        return min(w, self.size - 1)
 
 
 def uniform_prior(M: int) -> MessagePrior:
@@ -112,24 +117,14 @@ def _transmit_streams(dmc: Dmc, rng: RngStream):
     return codebook, noise
 
 
-def _trial_streams(dmc: Dmc, prior: MessagePrior, rng: RngStream):
-    w = int(np.searchsorted(prior.cum, rng.uniforms(1)[0], side="right"))
-    w = min(w, prior.size - 1)
-    codebook, noise = _transmit_streams(dmc, rng)
-    return w, codebook, noise
-
-
 def _channel_block(dmc: Dmc, x_true: np.ndarray, noise: RngStream, n0: int) -> np.ndarray:
-    u = noise.uniforms_at(n0, x_true.size)
-    return (dmc.W_cum[x_true] <= u[:, None]).sum(axis=1)
+    return dmc_steps(dmc, x_true, noise.uniforms_at(n0, x_true.size))
 
 
 def stop_feedback_trial(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
                         rng: RngStream) -> Transcript:
     """One stop-feedback trial: samples W from the prior, then transmits it."""
-    w = int(np.searchsorted(prior.cum, rng.uniforms(1)[0], side="right"))
-    w = min(w, prior.size - 1)
-    return stop_feedback_transmit(dmc, prior, gamma, w, mode, rng)
+    return stop_feedback_transmit(dmc, prior, gamma, prior.sample(rng), mode, rng)
 
 
 def stop_feedback_transmit(dmc: Dmc, prior: MessagePrior, gamma: float, w: int,
@@ -204,9 +199,7 @@ def stop_feedback_length_bound(H: float, eps: float, C: float, a0: float) -> flo
 def vlft_trial(dmc: Dmc, prior: MessagePrior, rng: RngStream,
                decode_rule: str = "map_stop") -> Transcript:
     """One zero-error VLFT trial: samples W from the prior, then transmits."""
-    w = int(np.searchsorted(prior.cum, rng.uniforms(1)[0], side="right"))
-    w = min(w, prior.size - 1)
-    return vlft_transmit(dmc, prior, w, rng, decode_rule)
+    return vlft_transmit(dmc, prior, prior.sample(rng), rng, decode_rule)
 
 
 def vlft_transmit(dmc: Dmc, prior: MessagePrior, w: int, rng: RngStream,
@@ -303,7 +296,8 @@ def vlft_sum_trial(dmc: Dmc, prior: MessagePrior, rng: RngStream, n_max: int):
     Returns (partial sum, summand at n_max) so the caller can verify the tail
     has converged.
     """
-    w, codebook, noise = _trial_streams(dmc, prior, rng)
+    w = prior.sample(rng)
+    codebook, noise = _transmit_streams(dmc, rng)
     iw = prior.self_info[w]
     total = 1.0  # n = 0 term: exp(-|0 - iw|+) = 1 for iw >= 0
     carry, n0 = 0.0, 0
