@@ -66,6 +66,16 @@ def _channel_from(cfg: dict, path: str = "channel.") -> Dmc:
     raise ConfigError(f"unknown channel kind: {path}kind={kind!r}")
 
 
+def _simulated_channel(cfg: dict) -> Dmc:
+    """The channel of a kind that simulates trials.  No trial over a
+    zero-capacity channel ever stops, so such a channel is rejected up front."""
+    dmc = _channel_from(_need(cfg, "channel"))
+    if dmc.C <= 0:
+        raise ConfigError(f"invalid field: channel has capacity C={dmc.C} nats; "
+                          "simulated kinds need C > 0")
+    return dmc
+
+
 def _prior_from(cfg: dict, path: str = "prior.") -> MessagePrior:
     kind = _need(cfg, "kind", path)
     if kind == "uniform":
@@ -126,7 +136,7 @@ def run(config: dict, workers: int = 1) -> RunRecord:
 
 
 def _run_stop_feedback(cfg, workers):
-    dmc = _channel_from(_need(cfg, "channel"))
+    dmc = _simulated_channel(cfg)
     prior = _prior_from(_need(cfg, "prior"))
     gamma = float(_need(cfg, "gamma_nats"))
     mode = cfg.get("mode", "full_decoder")
@@ -153,7 +163,7 @@ def _run_stop_feedback(cfg, workers):
 
 
 def _run_vlft(cfg, workers):
-    dmc = _channel_from(_need(cfg, "channel"))
+    dmc = _simulated_channel(cfg)
     prior = _prior_from(_need(cfg, "prior"))
     seed, trials = cfg["seed"], cfg["trials"]
     rule = cfg.get("decode_rule", "map_stop")
@@ -175,9 +185,11 @@ def _run_vlft(cfg, workers):
 def _run_jscc_excess(cfg, workers):
     from .jscc import simulate_excess
 
-    dmc = _channel_from(_need(cfg, "channel"))
+    dmc = _simulated_channel(cfg)
     src = _source_from(_need(cfg, "source"))
     k, d, eps = int(_need(cfg, "k")), float(_need(cfg, "d")), float(_need(cfg, "eps"))
+    if not 0 < eps < 1:
+        raise ConfigError(f"invalid field: eps={eps} must lie in (0, 1)")
     rd = ba_rate_distortion(src, d)
     split = tuple(cfg["split"]) if "split" in cfg else None
     st = simulate_excess(k, d, eps, dmc, rd, cfg["seed"], cfg["trials"],
@@ -200,7 +212,7 @@ def _run_jscc_excess(cfg, workers):
 def _run_jscc_average(cfg, workers):
     from .jscc import simulate_average
 
-    dmc = _channel_from(_need(cfg, "channel"))
+    dmc = _simulated_channel(cfg)
     src = _source_from(_need(cfg, "source"))
     k, d = int(_need(cfg, "k")), float(_need(cfg, "d"))
     rd = ba_rate_distortion(src, d)
@@ -219,7 +231,7 @@ def _run_jscc_average(cfg, workers):
 def _run_jscc_guaranteed(cfg, workers):
     from .jscc import simulate_guaranteed
 
-    dmc = _channel_from(_need(cfg, "channel"))
+    dmc = _simulated_channel(cfg)
     src = _source_from(_need(cfg, "source"))
     k, d = int(_need(cfg, "k")), float(_need(cfg, "d"))
     st = simulate_guaranteed(k, d, dmc, src, cfg["seed"], cfg["trials"],

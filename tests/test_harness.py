@@ -148,6 +148,42 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["sim-vlf", "--config", str(incomplete)]) == 2
 
 
+BSC = {"kind": "bsc", "delta": 0.11}
+BERN = {"kind": "bernoulli", "p": 0.5}
+EXCESS_CFG = {"kind": "jscc_excess", "channel": BSC, "source": BERN, "k": 8,
+              "d": 0.125, "eps": 0.1, "split": [0.05, 0.05], "trials": 50, "seed": 3}
+
+
+@pytest.mark.parametrize("eps", [1.0, 1.5, 0.0])
+def test_jscc_excess_rejects_eps_outside_unit_interval(tmp_path, eps):
+    with pytest.raises(ConfigError, match="eps"):
+        run(dict(EXCESS_CFG, eps=eps))
+    cfg = tmp_path / "excess.json"
+    cfg.write_text(json.dumps(dict(EXCESS_CFG, eps=eps)))
+    assert cli_main(["sim-jscc", "--config", str(cfg)]) == 2
+
+
+SIMULATED = {
+    "stop_feedback": SF_CFG,
+    "vlft": {"kind": "vlft", "channel": BSC, "prior": {"kind": "uniform", "M": 8},
+             "trials": 1000, "seed": 1},
+    "jscc_excess": EXCESS_CFG,
+    "jscc_average": {"kind": "jscc_average", "channel": BSC, "source": BERN, "k": 8,
+                     "d": 0.11, "M": 64, "trials": 50, "seed": 1},
+    "jscc_guaranteed": {"kind": "jscc_guaranteed", "channel": BSC, "source": BERN,
+                        "k": 2, "d": 0.5, "trials": 50, "seed": 1},
+}
+
+
+@pytest.mark.parametrize("kind", list(SIMULATED))
+def test_simulated_kinds_reject_zero_capacity_channel(kind):
+    useless = {"kind": "bsc", "delta": 0.5}
+    with pytest.raises(ConfigError, match="channel"):
+        run(dict(SIMULATED[kind], channel=useless))
+    cap = run({"kind": "bound", "which": "capacity", "channel": useless})
+    assert cap.metrics["capacity_nats"]["estimate"] == 0.0
+
+
 def test_cli_sweep_and_units(tmp_path, capsys):
     cfg = tmp_path / "sk.json"
     cfg.write_text(json.dumps({"kind": "sk", "P": 1.0, "n": 2,
