@@ -24,7 +24,7 @@ from .rng import half_width, run_trials, seed_stream
 from .vlf import (MessagePrior, geometric_prior, stop_feedback_length_bound,
                   stop_feedback_trial, uniform_prior, vlft_trial)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MIN_TRIALS_FOR_CI = 1000
 
 
@@ -200,9 +200,7 @@ def _run_jscc_excess(cfg, workers):
         "excess": {"estimate": st.failure_hat, "half_width": st.failure_half_width,
                    "n": st.trials},
     }
-    bounds = {"eps_target": eps,
-              "expansion_length": st.config["expansion_ell"],
-              "converse_length_nats": source_expansion(k, d, eps, rd) / dmc.C}
+    bounds = {"eps_target": eps, "expansion_length": st.config["expansion_ell"]}
     violations = []
     if st.failure_hat > eps + 4 * st.failure_half_width / 1.96:
         violations.append("excess-distortion probability exceeds target beyond 4 SE")

@@ -97,7 +97,7 @@ def test_emit_json_round_trip():
     rec = run(dict(SF_CFG, trials=1000))
     text = emit([rec], fmt="json")
     parsed = json.loads(text)
-    assert parsed[0]["schema_version"] == 1
+    assert parsed[0]["schema_version"] == 2
     got = parsed[0]
     want = record_to_dict(rec)
     got.pop("wall_time_s"), want.pop("wall_time_s")
