@@ -17,17 +17,22 @@ from pathlib import Path
 
 import numpy as np
 
-from jsccsim.channels import bsc
+from jsccsim.channels import Dmc, bsc
 from jsccsim.energy import EnergyBudget, lossy_energy_error_bound
 from jsccsim.harness import run
 from jsccsim.ratedist import bernoulli_hamming
-from jsccsim.vlf import uniform_prior, vlft_length_via_sum
+from jsccsim.rng import seed_stream
+from jsccsim.vlf import (MessagePrior, stop_feedback_trial, uniform_prior,
+                         vlft_length_via_sum, vlft_sum_trial, vlft_trial)
 
 PATH = Path(__file__).with_name("records.json")
 
 BSC = {"kind": "bsc", "delta": 0.11}
 BERN = {"kind": "bernoulli", "p": 0.5}
 GAMMA = math.log(100)
+# A non-binary-input DMC: its codebook symbols take the searchsorted path of
+# LazyCodebook.block rather than the binary compare.
+DMC3 = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]
 
 # (name, config, workers): the seven determinism configs of test_c11, then
 # every config of the eight benchmark workloads (copied as data, with fixed
@@ -81,6 +86,9 @@ RUNS = [
     ("jscc_average_k8_m64",
      {"kind": "jscc_average", "channel": BSC, "source": BERN, "k": 8, "d": 0.11,
       "M": 64, "trials": 400, "seed": 43}, 1),
+    ("awgn_converse_bernoulli",
+     {"kind": "bound", "which": "awgn_converse", "source": {"kind": "bernoulli", "p": 0.3},
+      "d": 0.1, "k": 10, "E": 6.0, "N0": 2.0}, 1),
 ]
 
 
@@ -89,13 +97,52 @@ def _lossy(k, d, M, E1, E2, seed, trials):
         bernoulli_hamming(0.5), k, d, M, EnergyBudget(E1=E1, E2=E2), 2.0, seed, trials)
 
 
-# (name, thunk): estimators that do not go through harness.run; their
-# results are pinned by repr.
+TRANSCRIPT_TRIALS = 200
+_PRIOR = MessagePrior([0.4, 0.2, 0.15, 0.1, 0.07, 0.05, 0.03])
+
+
+def _transcripts(one, seed):
+    """Per-trial rows of one transmitter over TRANSCRIPT_TRIALS trials, so a
+    mismatch names the trial that moved."""
+    return lambda: [one(seed_stream(seed, t)) for t in range(TRANSCRIPT_TRIALS)]
+
+
+def _row(tr):
+    return (tr.tau, tr.decoded, tr.error, tr.info_sum, tr.anomaly)
+
+
+def _stop_feedback(dmc, mode, seed):
+    return _transcripts(lambda rng: _row(stop_feedback_trial(dmc, _PRIOR, GAMMA, mode, rng)),
+                        seed)
+
+
+def _vlft(dmc, rule, seed):
+    return _transcripts(lambda rng: _row(vlft_trial(dmc, _PRIOR, rng, rule)), seed)
+
+
+def _vlft_sum(dmc, n_max, seed):
+    return _transcripts(lambda rng: vlft_sum_trial(dmc, _PRIOR, rng, n_max), seed)
+
+
+# (name, thunk): estimators that do not go through harness.run, and per-trial
+# transcripts of the three transmitters; their results are pinned by repr.
 CALLS = [
     ("lossy_energy_k6_m64", _lossy(6, 0.2, 64, 8.0, 6.0, 21, 300)),
     ("lossy_energy_rate_zero", _lossy(4, 1.0, 8, 3.0, 3.0, 20, 300)),
     ("vlft_length_via_sum_m8",
      lambda: vlft_length_via_sum(bsc(0.11), uniform_prior(8), 404, 200)),
+] + [
+    (f"transcripts_{name}_{chan}", make(dmc, arg, seed))
+    for chan, dmc, seed in (("bsc", bsc(0.11), 501), ("dmc3", Dmc(DMC3), 502))
+    for name, make, arg in (
+        ("stop_feedback_full_decoder", _stop_feedback, "full_decoder"),
+        ("stop_feedback_true_path", _stop_feedback, "true_path"),
+        ("vlft_map_stop", _vlft, "map_stop"),
+        ("vlft_first_dominance", _vlft, "first_dominance"),
+        ("vlft_largest_at_stop", _vlft, "largest_at_stop"),
+        # 300 is not a block boundary of the 32, 64, 128, ... schedule
+        ("vlft_sum_n300", _vlft_sum, 300),
+    )
 ]
 
 
