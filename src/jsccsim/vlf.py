@@ -15,6 +15,7 @@ import numpy as np
 
 from .channels import Dmc, dmc_steps
 from .info import entropy
+from .ratedist import source_expansion
 from .rng import RngStream, keyed_uniforms_2d, run_trials, seed_stream
 
 TRIAL_USE_CAP = 10 ** 9
@@ -92,9 +93,6 @@ class LazyCodebook:
             return (u >= self.caid_cum[0]).astype(np.int64)
         return np.searchsorted(self.caid_cum, u, side="right")
 
-    def symbol(self, m: int, n: int) -> int:
-        return int(self.block([m], n, 1)[0, 0])
-
 
 @dataclass
 class Transcript:
@@ -111,14 +109,34 @@ class Transcript:
     tail_mass: float = 0.0
 
 
-def _transmit_streams(dmc: Dmc, rng: RngStream):
+def _running_sums(dmc: Dmc, rng: RngStream, rows, w_row: int, block: int,
+                  n_max: int | None = None):
+    """Running information-density sums of the codewords of ``rows`` while
+    row ``w_row`` is sent, one block of channel uses at a time.
+
+    Codewords come from sub-stream 1 of the trial and channel noise from
+    sub-stream 2.  Yields (n0, carry, D, S) per block: D[r, c] is row r's
+    density at use n0 + c + 1, carry[r] its sum over the first n0 uses and
+    S = carry + cumsum(D).  Blocks start at ``block`` uses and double up to
+    _BLOCK_MAX; with ``n_max`` the last block is cut so the sums end there.
+    """
     codebook = LazyCodebook(rng.derive(1).key, dmc.caid_cum)
     noise = rng.derive(2)
-    return codebook, noise
-
-
-def _channel_block(dmc: Dmc, x_true: np.ndarray, noise: RngStream, n0: int) -> np.ndarray:
-    return dmc_steps(dmc, x_true, noise.uniforms_at(n0, x_true.size))
+    carry = np.zeros(len(rows))
+    n0 = 0
+    while n_max is None or n0 < n_max:
+        if n0 > TRIAL_USE_CAP:
+            raise RuntimeError(f"trial exceeded {TRIAL_USE_CAP} channel uses "
+                               f"(C={dmc.C}); check the configuration")
+        length = block if n_max is None else min(block, n_max - n0)
+        X = codebook.block(rows, n0, length)
+        y = dmc_steps(dmc, X[w_row], noise.uniforms_at(n0, length))
+        D = dmc.log_density[X, y[None, :]]
+        S = carry[:, None] + np.cumsum(D, axis=1)
+        yield n0, carry, D, S
+        carry = S[:, -1]
+        n0 += length
+        block = min(2 * block, _BLOCK_MAX)
 
 
 def stop_feedback_trial(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
@@ -141,27 +159,16 @@ def stop_feedback_transmit(dmc: Dmc, prior: MessagePrior, gamma: float, w: int,
         raise ValueError("gamma must be positive")
     if mode not in ("full_decoder", "true_path"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "full_decoder" and prior.size > FULL_DECODER_MAX_SUPPORT:
+    full = mode == "full_decoder"
+    if full and prior.size > FULL_DECODER_MAX_SUPPORT:
         raise ValueError("full_decoder mode supports at most 2^20 messages")
 
-    codebook, noise = _transmit_streams(dmc, rng)
-    if mode == "full_decoder":
-        rows = np.arange(prior.size)
-        thresholds = gamma + prior.self_info
-    else:
-        rows = np.array([w])
-        thresholds = np.array([gamma + prior.self_info[w]])
-
-    carry = np.zeros(rows.size)
+    rows = np.arange(prior.size) if full else np.array([w])
+    thresholds = gamma + prior.self_info[rows]
     # first block sized near the expected stopping time to minimize wasted work
     expect = (prior.entropy + gamma + dmc.a0) / dmc.C
     block0 = int(np.clip(32 * np.ceil(1.25 * expect / 32), _BLOCK0, _BLOCK_MAX))
-    n0, block = 0, block0
-    while True:
-        X = codebook.block(rows, n0, block)
-        y = _channel_block(dmc, X[w if mode == "full_decoder" else 0], noise, n0)
-        D = dmc.log_density[X, y[None, :]]
-        S = carry[:, None] + np.cumsum(D, axis=1)
+    for n0, carry, D, S in _running_sums(dmc, rng, rows, w if full else 0, block0):
         crossed = S >= thresholds[:, None]
         hit = crossed.any(axis=1)
         if hit.any():
@@ -169,7 +176,7 @@ def stop_feedback_transmit(dmc: Dmc, prior: MessagePrior, gamma: float, w: int,
             tau = int(cross_n.min())
             winner = int(np.argmin(cross_n))
             col = tau - n0 - 1
-            if mode == "full_decoder":
+            if full:
                 # true-path running sum at the decoder's stopping time
                 info_sum = float(carry[w] + D[w, : col + 1].sum())
                 return Transcript(true_message=w, decoded=winner, tau=tau,
@@ -178,13 +185,6 @@ def stop_feedback_transmit(dmc: Dmc, prior: MessagePrior, gamma: float, w: int,
             return Transcript(true_message=w, decoded=None, tau=tau,
                               error=float(np.exp(-gamma)), mode=mode, gamma=gamma,
                               info_sum=float(S[0, col]), tail_mass=prior.tail_mass)
-        carry = S[:, -1]
-        n0 += block
-        block = min(2 * block, _BLOCK_MAX)
-        if n0 > TRIAL_USE_CAP:
-            raise RuntimeError(
-                f"stop-feedback trial exceeded {TRIAL_USE_CAP} channel uses "
-                f"(gamma={gamma}, C={dmc.C}); check the configuration")
 
 
 def stop_feedback_length_bound(H: float, eps: float, C: float, a0: float) -> float:
@@ -233,7 +233,6 @@ def vlft_transmit(dmc: Dmc, prior: MessagePrior, w: int, rng: RngStream,
     if decode_rule not in ("map_stop", "first_dominance", "largest_at_stop"):
         raise ValueError(f"unknown decode rule {decode_rule!r}")
 
-    codebook, noise = _transmit_streams(dmc, rng)
     M = prior.size
     iw = prior.self_info
     neg_inf = -np.inf
@@ -248,15 +247,9 @@ def vlft_transmit(dmc: Dmc, prior: MessagePrior, w: int, rng: RngStream,
     tau, info_sum, dom_at_tau_mask = 0, 0.0, i0 > prefmax0
 
     if not stop_found:
-        carry = np.zeros(M)
-        n0, block = 0, _BLOCK0
-        while True:
-            X = codebook.block(np.arange(M), n0, block)
-            y = _channel_block(dmc, X[w], noise, n0)
-            D = dmc.log_density[X, y[None, :]]
-            S = carry[:, None] + np.cumsum(D, axis=1)
+        for n0, carry, D, S in _running_sums(dmc, rng, np.arange(M), w, _BLOCK0):
             I = S - iw[:, None]
-            prefmax = np.vstack([np.full((1, block), neg_inf),
+            prefmax = np.vstack([np.full((1, I.shape[1]), neg_inf),
                                  np.maximum.accumulate(I, axis=0)[:-1]])
             dom = I > prefmax
             newly = dom.any(axis=1) & (first_dom < 0)
@@ -272,11 +265,6 @@ def vlft_transmit(dmc: Dmc, prior: MessagePrior, w: int, rng: RngStream,
                 dom_at_tau_mask = I[:, col] > prefmax[:, col]
                 info_sum = float(carry[w] + D[w, : col + 1].sum())
                 break
-            carry = S[:, -1]
-            n0 += block
-            block = min(2 * block, _BLOCK_MAX)
-            if n0 > TRIAL_USE_CAP:
-                raise RuntimeError(f"VLFT trial exceeded {TRIAL_USE_CAP} channel uses")
 
     if decode_rule == "map_stop":
         decoded = w
@@ -297,23 +285,12 @@ def vlft_sum_trial(dmc: Dmc, prior: MessagePrior, rng: RngStream, n_max: int):
     has converged.
     """
     w = prior.sample(rng)
-    codebook, noise = _transmit_streams(dmc, rng)
     iw = prior.self_info[w]
-    total = 1.0  # n = 0 term: exp(-|0 - iw|+) = 1 for iw >= 0
-    carry, n0 = 0.0, 0
-    last = 1.0
-    block = _BLOCK0
-    while n0 < n_max:
-        length = min(block, n_max - n0)
-        X = codebook.block([w], n0, length)
-        y = _channel_block(dmc, X[0], noise, n0)
-        S = carry + np.cumsum(dmc.log_density[X[0], y])
-        terms = np.exp(-np.maximum(S - iw, 0.0))
+    total = last = 1.0  # n = 0 term: exp(-|0 - iw|+) = 1 for iw >= 0
+    for _, _, _, S in _running_sums(dmc, rng, [w], 0, _BLOCK0, n_max):
+        terms = np.exp(-np.maximum(S[0] - iw, 0.0))
         total += float(terms.sum())
         last = float(terms[-1])
-        carry = float(S[-1])
-        n0 += length
-        block = min(2 * block, _BLOCK_MAX)
     return total, last
 
 
@@ -336,8 +313,6 @@ def vlft_length_via_sum(dmc: Dmc, prior: MessagePrior, master_seed: int,
 
 def vlf_converse_length(k: int, d: float, eps: float, rd, C: float) -> float:
     """Data-processing converse ell >= R_{S^k}(d,eps) / C (two-term R)."""
-    from .ratedist import source_expansion
-
     if C <= 0:
         raise ValueError("C must be positive")
     R = max(source_expansion(k, d, eps, rd), 0.0)
@@ -346,8 +321,6 @@ def vlf_converse_length(k: int, d: float, eps: float, rd, C: float) -> float:
 
 def vlft_converse_length(k: int, d: float, eps: float, rd, C: float) -> float:
     """Smallest ell with C*ell + ln(ell+1) + 1 >= R_{S^k}(d,eps) (two-term R)."""
-    from .ratedist import source_expansion
-
     if C <= 0:
         raise ValueError("C must be positive")
     R = max(source_expansion(k, d, eps, rd), 0.0)
