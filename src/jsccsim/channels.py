@@ -1,4 +1,4 @@
-"""Discrete memoryless channel and AWGN channel models.
+"""Discrete memoryless channel models.
 
 A Dmc caches its capacity, capacity-achieving input/output distributions and
 the maximum log-likelihood jump a0; all are computed once at construction and
@@ -8,8 +8,6 @@ the object is immutable afterwards, so it can be shared across trial workers.
 from __future__ import annotations
 
 import numpy as np
-
-from .rng import RngStream
 
 _ROW_TOL = 1e-12
 
@@ -94,32 +92,7 @@ def bec(delta: float) -> Dmc:
     return Dmc([[1 - delta, delta, 0.0], [0.0, delta, 1 - delta]])
 
 
-def dmc_step(dmc: Dmc, x: int, rng: RngStream) -> int:
-    """Sample one channel output y ~ W(.|x)."""
-    u = rng.uniforms(1)[0]
-    return int(np.searchsorted(dmc.W_cum[x], u, side="right"))
-
-
 def dmc_steps(dmc: Dmc, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized outputs for inputs x and per-use uniforms u."""
     # inverse-CDF per row: count of cumsum entries <= u
     return (dmc.W_cum[x] <= u[:, None]).sum(axis=1)
-
-
-class AwgnChannel:
-    """Real AWGN channel, noise variance N0/2 per degree of freedom."""
-
-    def __init__(self, N0: float):
-        if N0 <= 0:
-            raise ValueError("N0 must be positive")
-        self.N0 = float(N0)
-        self.noise_std = float(np.sqrt(N0 / 2.0))
-
-
-def awgn_step(x: float, ch: AwgnChannel, rng: RngStream) -> float:
-    return float(x + ch.noise_std * rng.normals(1)[0])
-
-
-def awgn_steps(x: np.ndarray, ch: AwgnChannel, rng: RngStream) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x + ch.noise_std * rng.normals(x.size).reshape(x.shape)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
 
-from .info import LN2, entropy, normal_tail, normal_tail_inv
+from .info import LN2, normal_tail_inv
 from .ratedist import RdSolution
 from .rng import RngStream, half_width, run_trials, seed_stream
 from .vlf import MessagePrior
@@ -26,30 +26,13 @@ from .vlf import MessagePrior
 # Schalkwijk-Bluestein linear feedback transmission of a Gaussian sample
 # ---------------------------------------------------------------------------
 
-def sk_transmit(sigma2: float, P: float, n: int, rng: RngStream):
-    """Transmit one N(0, sigma2) sample in n uses at per-use SNR P.
-
-    Each use sends the current estimation error scaled to power P; the
-    receiver applies the MMSE update.  Returns (estimate, squared error,
-    energy used); the MSE over trials is sigma2/(1+P)^n.
-    """
-    if P <= 0 or n < 0:
-        raise ValueError("need P > 0 and n >= 0")
-    theta = float(rng.normals(1)[0]) * np.sqrt(sigma2)
-    est, V, energy = 0.0, sigma2, 0.0
-    for _ in range(n):
-        x = np.sqrt(P / V) * (theta - est)
-        energy += x * x
-        y = x + float(rng.normals(1)[0])
-        est += np.sqrt(P * V) / (P + 1.0) * y
-        V /= (1.0 + P)
-    return est, (theta - est) ** 2, energy
-
-
 def sk_mse_batch(sigma2: float, P: float, n: int, trials: int,
                  master_seed: int, stream_id: int = 0):
-    """Vectorized SK trials; returns (MSE at every step 1..n, mean per-use
-    energy at every step).  Noise variance 1, i.e. N0 = 2."""
+    """SK transmission of one N(0, sigma2) sample in n uses at per-use SNR P,
+    vectorized over trials.  Each use sends the current estimation error
+    scaled to power P and the receiver applies the MMSE update.  Returns
+    (MSE at every step 1..n, mean per-use energy at every step); the MSE
+    after n uses is sigma2/(1+P)^n.  Noise variance 1, i.e. N0 = 2."""
     rng = seed_stream(master_seed, stream_id)
     theta = rng.normals(trials) * np.sqrt(sigma2)
     est = np.zeros(trials)

@@ -33,6 +33,16 @@ def _mix(z):
         return z
 
 
+def _unit(h):
+    """Top 53 bits of each hash as a uniform in (0, 1)."""
+    return ((h >> _U64(11)).astype(np.float64) + 0.5) * _INV53
+
+
+def _stream_uniforms(key, start: int, n: int) -> np.ndarray:
+    idx = np.arange(start, start + n, dtype=np.uint64)
+    return _unit(_mix(key + idx * _GOLDEN))
+
+
 def _fold(key, word):
     with np.errstate(over="ignore"):
         return _mix(key ^ (_mix(_U64(word) + _GOLDEN) + _GOLDEN))
@@ -47,8 +57,7 @@ def keyed_uniforms_2d(key, rows, col_start, cols):
     """
     rows = np.asarray(rows, dtype=np.uint64).reshape(-1, 1)
     cols = (np.uint64(col_start) + np.arange(cols, dtype=np.uint64)).reshape(1, -1)
-    h = _mix(_mix(_U64(key) + rows * _GOLDEN) + cols * _GOLDEN)
-    return ((h >> _U64(11)).astype(np.float64) + 0.5) * _INV53
+    return _unit(_mix(_mix(_U64(key) + rows * _GOLDEN) + cols * _GOLDEN))
 
 
 class RngStream:
@@ -78,27 +87,16 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next n uniforms in (0,1)."""
-        idx = np.arange(self.counter, self.counter + n, dtype=np.uint64)
+        u = _stream_uniforms(self._key, self.counter, n)
         self.counter += n
-        h = _mix(self._key + idx * _GOLDEN)
-        return ((h >> _U64(11)).astype(np.float64) + 0.5) * _INV53
+        return u
 
     def uniforms_at(self, start: int, n: int) -> np.ndarray:
         """Uniforms for absolute counter positions [start, start+n), no state change."""
-        idx = np.arange(start, start + n, dtype=np.uint64)
-        h = _mix(self._key + idx * _GOLDEN)
-        return ((h >> _U64(11)).astype(np.float64) + 0.5) * _INV53
+        return _stream_uniforms(self._key, start, n)
 
     def normals(self, n: int) -> np.ndarray:
         return ndtri(self.uniforms(n))
-
-    def integers(self, n: int, high: int) -> np.ndarray:
-        """n integers uniform on [0, high)."""
-        return np.minimum((self.uniforms(n) * high).astype(np.int64), high - 1)
-
-    def choice(self, pmf_cumsum: np.ndarray, n: int = 1) -> np.ndarray:
-        """Sample n indices from the pmf whose cumulative sums are given."""
-        return np.searchsorted(pmf_cumsum, self.uniforms(n), side="right")
 
 
 def seed_stream(master_seed: int, trial_id: int) -> RngStream:

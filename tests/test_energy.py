@@ -9,20 +9,12 @@ from jsccsim.energy import (EnergyBudget, IdealBitTransmitter,
                             SequentialBitTransmitter, awgn_jscc_converse,
                             diagonal_slot, energy_expansion, huffman_code,
                             lossy_energy_error_bound, ppm_error_prob,
-                            ppm_trials, sk_block, sk_mse_batch, sk_transmit,
+                            ppm_trials, sk_block, sk_mse_batch,
                             vl_feedback_energy_trial, vl_separated_error_bound)
 from jsccsim.info import LN2, normal_tail, normal_tail_inv
 from jsccsim.ratedist import ba_rate_distortion, bernoulli_hamming, gaussian_source
 from jsccsim.rng import seed_stream
 from jsccsim.vlf import MessagePrior, uniform_prior
-
-
-def test_sk_zero_uses_returns_prior_variance():
-    est, sq, energy = sk_transmit(1.0, 1.0, 0, seed_stream(0, 0))
-    assert est == 0.0 and energy == 0.0
-    sqs = np.array([sk_transmit(1.0, 1.0, 0, seed_stream(1, t))[1]
-                    for t in range(200)])
-    assert sqs.mean() == pytest.approx(1.0, abs=4 * np.sqrt(2 / 200))
 
 
 def test_sk_mse_recursion_examples():
