@@ -16,8 +16,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
 
-from .info import LN2, normal_tail_inv
-from .ratedist import RdSolution
+from .info import LN2, lattice_convolution, normal_tail_inv
+from .jscc import analytic_miss, dball_encode, lossy_trial, type_ball_probs
+from .ratedist import (RdSolution, ba_rate_distortion, d_min_max, tilted_information,
+                       zero_rate_solution)
 from .rng import RngStream, half_width, run_trials, seed_stream
 from .vlf import MessagePrior
 
@@ -282,9 +284,6 @@ def lossy_energy_error_bound(src, k: int, d: float, M: int,
 
     Returns (bound, mc_failure_rate, mc_half_width).
     """
-    from .jscc import analytic_miss, dball_encode, lossy_trial, type_ball_probs
-    from .ratedist import ba_rate_distortion, d_min_max, zero_rate_solution
-
     if k > 12:
         raise ValueError("exact ball probabilities limited to k <= 12")
     if not np.isscalar(budget.E1):
@@ -337,18 +336,9 @@ def lossy_energy_error_bound(src, k: int, d: float, M: int,
 def _sum_tilted_distribution(rd: RdSolution, k: int):
     """Exact distribution (values, probabilities) of the k-fold sum of
     per-letter d-tilted informations for a small-alphabet discrete source."""
-    from .ratedist import tilted_information
-
     src = rd.source
     vals = tilted_information(rd, np.arange(src.pmf.size))
-    dist = {0.0: 1.0}
-    for _ in range(k):
-        new = {}
-        for tot, p in dist.items():
-            for v, pv in zip(vals, src.pmf):
-                t2 = round(tot + v, 12)
-                new[t2] = new.get(t2, 0.0) + p * pv
-        dist = new
+    dist = lattice_convolution({0.0: 1.0}, list(zip(vals, src.pmf)), k)
     v = np.array(sorted(dist))
     return v, np.array([dist[x] for x in v])
 

@@ -17,12 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Dmc, bec, bsc
+from .energy import (IdealBitTransmitter, awgn_jscc_converse, energy_expansion,
+                     huffman_code, ppm_error_prob, ppm_trials, sk_mse_batch,
+                     vl_feedback_energy_trial)
 from .info import LN2
+from .jscc import (naive_separation_bound, simulate_average, simulate_excess,
+                   simulate_guaranteed)
 from .ratedist import (SourceModel, ba_rate_distortion, bernoulli_hamming,
                        discrete_source, gaussian_source, source_expansion)
 from .rng import half_width, run_trials, seed_stream
 from .vlf import (MessagePrior, geometric_prior, stop_feedback_length_bound,
-                  stop_feedback_trial, uniform_prior, vlft_trial)
+                  stop_feedback_trial, uniform_prior, vlf_converse_length,
+                  vlft_converse_length, vlft_trial)
 
 SCHEMA_VERSION = 2
 MIN_TRIALS_FOR_CI = 1000
@@ -183,8 +189,6 @@ def _run_vlft(cfg, workers):
 
 
 def _run_jscc_excess(cfg, workers):
-    from .jscc import simulate_excess
-
     dmc = _simulated_channel(cfg)
     src = _source_from(_need(cfg, "source"))
     k, d, eps = int(_need(cfg, "k")), float(_need(cfg, "d")), float(_need(cfg, "eps"))
@@ -208,8 +212,6 @@ def _run_jscc_excess(cfg, workers):
 
 
 def _run_jscc_average(cfg, workers):
-    from .jscc import simulate_average
-
     dmc = _simulated_channel(cfg)
     src = _source_from(_need(cfg, "source"))
     k, d = int(_need(cfg, "k")), float(_need(cfg, "d"))
@@ -227,8 +229,6 @@ def _run_jscc_average(cfg, workers):
 
 
 def _run_jscc_guaranteed(cfg, workers):
-    from .jscc import simulate_guaranteed
-
     dmc = _simulated_channel(cfg)
     src = _source_from(_need(cfg, "source"))
     k, d = int(_need(cfg, "k")), float(_need(cfg, "d"))
@@ -243,8 +243,6 @@ def _run_jscc_guaranteed(cfg, workers):
 
 
 def _run_sk(cfg, workers):
-    from .energy import sk_mse_batch
-
     sigma2 = float(cfg.get("sigma2", 1.0))
     P, n = float(_need(cfg, "P")), int(_need(cfg, "n"))
     mses, powers = sk_mse_batch(sigma2, P, n, cfg["trials"], cfg["seed"])
@@ -257,8 +255,6 @@ def _run_sk(cfg, workers):
 
 
 def _run_energy_vl(cfg, workers):
-    from .energy import IdealBitTransmitter, huffman_code, vl_feedback_energy_trial
-
     prior = _prior_from(_need(cfg, "prior"))
     N0 = float(cfg.get("N0", 2.0))
     tx = IdealBitTransmitter(N0)
@@ -282,8 +278,6 @@ def _run_energy_vl(cfg, workers):
 
 
 def _run_ppm(cfg, workers):
-    from .energy import ppm_error_prob, ppm_trials
-
     E, m = float(_need(cfg, "E")), int(_need(cfg, "m"))
     N0 = float(cfg.get("N0", 2.0))
     errs = ppm_trials(E, m, N0, cfg["trials"], cfg["seed"])
@@ -298,10 +292,6 @@ def _run_ppm(cfg, workers):
 
 def _run_bound(cfg, workers):
     """Pure evaluators: capacity, rate-distortion, expansions, converses."""
-    from .energy import awgn_jscc_converse, energy_expansion
-    from .jscc import naive_separation_bound
-    from .vlf import vlf_converse_length, vlft_converse_length
-
     which = _need(cfg, "which", "bound.")
     out = {}
     if which == "capacity":

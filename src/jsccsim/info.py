@@ -59,6 +59,25 @@ def info_density(dmc, x: int, y: int) -> float:
     return float(np.log(w) - np.log(py))
 
 
+def lattice_convolution(dist: dict, steps, times: int, cap: float = np.inf) -> dict:
+    """``times``-fold convolution of ``dist`` (value -> probability) with the
+    (value, probability) pairs ``steps``.
+
+    Sums are rounded to 12 decimals, so values on one lattice share a key.
+    Before each step, values above ``cap`` are dropped.
+    """
+    for _ in range(times):
+        new = {}
+        for tot, p in dist.items():
+            if tot > cap:
+                continue
+            for v, pv in steps:
+                t2 = round(tot + v, 12)
+                new[t2] = new.get(t2, 0.0) + p * pv
+        dist = new
+    return dist
+
+
 def normal_tail(x) -> float:
     """Q(x): standard normal complementary CDF."""
     return ndtr(-np.asarray(x, dtype=np.float64)) + 0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Dmc
-from .info import normal_tail_inv
+from .info import lattice_convolution, normal_tail_inv
 from .ratedist import RdSolution, brute_force_deps_entropy, source_expansion
 from .rng import RngStream, half_width, keyed_uniforms_2d, run_trials, seed_stream
 from .vlf import (FULL_DECODER_MAX_SUPPORT, MessagePrior, stop_feedback_transmit,
@@ -85,22 +85,12 @@ def ball_probability(counts: np.ndarray, dist_matrix: np.ndarray,
     dist = {0.0: 1.0}
     budget = d * k + 1e-12
     for a, c in enumerate(counts):
-        if c == 0:
-            continue
-        step = {}
+        step = {}  # equal distortions merged
         for z, qz in enumerate(output_pmf):
             if qz > 0:
                 v = round(float(dist_matrix[a, z]), 12)
                 step[v] = step.get(v, 0.0) + qz
-        for _ in range(int(c)):
-            new = {}
-            for tot, p in dist.items():
-                if tot > budget:
-                    continue
-                for v, pv in step.items():
-                    t2 = round(tot + v, 12)
-                    new[t2] = new.get(t2, 0.0) + p * pv
-            dist = new
+        dist = lattice_convolution(dist, step.items(), int(c), budget)
     return float(sum(p for tot, p in dist.items() if tot <= budget))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import entropy, normal_tail_inv, validate_pmf
+from .info import entropy, normal_tail_inv, validate_pmf, varentropy
 
 GAUSSIAN_DISPERSION_NATS2 = 0.5  # Var[(S^2/sigma^2 - 1)/2]
 
@@ -184,8 +184,6 @@ def lossless_solution(src: SourceModel) -> RdSolution:
     """Almost-lossless branch: tilted information reduces to -log P_S(s)."""
     if src.kind != "discrete":
         raise ValueError("lossless branch is for discrete sources")
-    from .info import varentropy
-
     return RdSolution(source=src, d=0.0, rate=entropy(src.pmf), slope=np.inf,
                       output_pmf=src.pmf.copy(), dispersion=varentropy(src.pmf),
                       lossless=True)
