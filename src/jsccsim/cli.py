@@ -13,16 +13,19 @@ import sys
 
 from .harness import ConfigError, emit, run, sweep
 
-_KIND_OF = {
-    "sim-vlf": "stop_feedback",
-    "sim-vlft": "vlft",
-    "sim-jscc": "jscc_excess",
-    "sim-sk": "sk",
-    "sim-energy": "energy_vl",
-    "rd": "bound",
-    "capacity": "bound",
-    "expansion": "bound",
-    "bound": "bound",
+# Subcommand -> (default experiment kind, default bound evaluator); None
+# leaves the field to the config.
+_SUBCOMMANDS = {
+    "rd": ("bound", "rd"),
+    "capacity": ("bound", "capacity"),
+    "expansion": ("bound", "expansion"),
+    "sim-vlf": ("stop_feedback", None),
+    "sim-vlft": ("vlft", None),
+    "sim-jscc": ("jscc_excess", None),
+    "sim-sk": ("sk", None),
+    "sim-energy": ("energy_vl", None),
+    "bound": ("bound", None),
+    "sweep": (None, None),
 }
 
 
@@ -41,8 +44,7 @@ def _add_common(sub):
 def build_parser():
     p = argparse.ArgumentParser(prog="jsccsim")
     subs = p.add_subparsers(dest="command", required=True)
-    for name in ("rd", "capacity", "expansion", "sim-vlf", "sim-vlft",
-                 "sim-jscc", "sim-sk", "sim-energy", "bound", "sweep"):
+    for name in _SUBCOMMANDS:
         sub = subs.add_parser(name)
         _add_common(sub)
         if name == "sweep":
@@ -55,14 +57,9 @@ def _load_config(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    if args.command in _KIND_OF:
-        cfg.setdefault("kind", _KIND_OF[args.command])
-    if args.command == "rd":
-        cfg.setdefault("which", "rd")
-    elif args.command == "capacity":
-        cfg.setdefault("which", "capacity")
-    elif args.command == "expansion":
-        cfg.setdefault("which", "expansion")
+    for key, value in zip(("kind", "which"), _SUBCOMMANDS[args.command]):
+        if value is not None:
+            cfg.setdefault(key, value)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.trials is not None:

@@ -23,8 +23,8 @@ from .energy import (IdealBitTransmitter, awgn_jscc_converse, energy_expansion,
 from .info import LN2
 from .jscc import (naive_separation_bound, simulate_average, simulate_excess,
                    simulate_guaranteed)
-from .ratedist import (SourceModel, ba_rate_distortion, bernoulli_hamming,
-                       discrete_source, gaussian_source, source_expansion)
+from .ratedist import (ba_rate_distortion, bernoulli_hamming, discrete_source,
+                       gaussian_source, source_expansion)
 from .rng import half_width, run_trials, seed_stream
 from .vlf import (MessagePrior, geometric_prior, stop_feedback_length_bound,
                   stop_feedback_trial, uniform_prior, vlf_converse_length,
@@ -61,48 +61,53 @@ def _need(cfg: dict, key: str, path: str = ""):
     return cfg[key]
 
 
-def _channel_from(cfg: dict, path: str = "channel.") -> Dmc:
-    kind = _need(cfg, "kind", path)
-    if kind == "bsc":
-        return bsc(_need(cfg, "delta", path))
-    if kind == "bec":
-        return bec(_need(cfg, "delta", path))
-    if kind == "matrix":
-        return Dmc(np.asarray(_need(cfg, "W", path), dtype=np.float64))
-    raise ConfigError(f"unknown channel kind: {path}kind={kind!r}")
+# Config section -> model kind -> (constructor, fields of the section).
+_MODELS = {
+    "channel": {
+        "bsc": (bsc, ("delta",)),
+        "bec": (bec, ("delta",)),
+        "matrix": (lambda W: Dmc(np.asarray(W, dtype=np.float64)), ("W",)),
+    },
+    "prior": {
+        "uniform": (lambda M: uniform_prior(int(M)), ("M",)),
+        "geometric": (lambda q: geometric_prior(float(q)), ("q",)),
+        "pmf": (lambda pmf: MessagePrior(np.asarray(pmf, dtype=np.float64)), ("pmf",)),
+    },
+    "source": {
+        "bernoulli": (lambda p: bernoulli_hamming(float(p)), ("p",)),
+        "gaussian": (lambda variance: gaussian_source(float(variance)), ("variance",)),
+        "discrete": (lambda pmf, distortion: discrete_source(np.asarray(pmf),
+                                                             np.asarray(distortion)),
+                     ("pmf", "distortion")),
+    },
+}
+
+
+def _model(cfg: dict, section: str):
+    """The channel, prior or source that ``cfg[section]`` describes.  A
+    constructor's ValueError or TypeError becomes a ConfigError naming the
+    fields it was given."""
+    sub, path = _need(cfg, section), section + "."
+    kind = _need(sub, "kind", path)
+    if kind not in _MODELS[section]:
+        raise ConfigError(f"unknown {section} kind: {path}kind={kind!r}")
+    make, fields = _MODELS[section][kind]
+    args = [_need(sub, name, path) for name in fields]
+    try:
+        return make(*args)
+    except (ValueError, TypeError) as exc:
+        names = ", ".join(path + name for name in fields)
+        raise ConfigError(f"invalid field: {names}: {exc}") from exc
 
 
 def _simulated_channel(cfg: dict) -> Dmc:
     """The channel of a kind that simulates trials.  No trial over a
     zero-capacity channel ever stops, so such a channel is rejected up front."""
-    dmc = _channel_from(_need(cfg, "channel"))
+    dmc = _model(cfg, "channel")
     if dmc.C <= 0:
         raise ConfigError(f"invalid field: channel has capacity C={dmc.C} nats; "
                           "simulated kinds need C > 0")
     return dmc
-
-
-def _prior_from(cfg: dict, path: str = "prior.") -> MessagePrior:
-    kind = _need(cfg, "kind", path)
-    if kind == "uniform":
-        return uniform_prior(int(_need(cfg, "M", path)))
-    if kind == "geometric":
-        return geometric_prior(float(_need(cfg, "q", path)))
-    if kind == "pmf":
-        return MessagePrior(np.asarray(_need(cfg, "pmf", path), dtype=np.float64))
-    raise ConfigError(f"unknown prior kind: {path}kind={kind!r}")
-
-
-def _source_from(cfg: dict, path: str = "source.") -> SourceModel:
-    kind = _need(cfg, "kind", path)
-    if kind == "bernoulli":
-        return bernoulli_hamming(float(_need(cfg, "p", path)))
-    if kind == "gaussian":
-        return gaussian_source(float(_need(cfg, "variance", path)))
-    if kind == "discrete":
-        return discrete_source(np.asarray(_need(cfg, "pmf", path)),
-                               np.asarray(_need(cfg, "distortion", path)))
-    raise ConfigError(f"unknown source kind: {path}kind={kind!r}")
 
 
 def validate(config: dict) -> dict:
@@ -115,7 +120,10 @@ def validate(config: dict) -> dict:
         trials = _need(config, "trials")
         if not isinstance(trials, int) or trials < 1:
             raise ConfigError("invalid field: trials must be a positive integer")
-        _need(config, "seed")
+        seed = _need(config, "seed")
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+            raise ConfigError(f"invalid field: seed={seed!r} must be an integer "
+                              "in [0, 2^64)")
     return config
 
 
@@ -143,7 +151,7 @@ def run(config: dict, workers: int = 1) -> RunRecord:
 
 def _run_stop_feedback(cfg, workers):
     dmc = _simulated_channel(cfg)
-    prior = _prior_from(_need(cfg, "prior"))
+    prior = _model(cfg, "prior")
     gamma = float(_need(cfg, "gamma_nats"))
     mode = cfg.get("mode", "full_decoder")
     seed, trials = cfg["seed"], cfg["trials"]
@@ -170,7 +178,10 @@ def _run_stop_feedback(cfg, workers):
 
 def _run_vlft(cfg, workers):
     dmc = _simulated_channel(cfg)
-    prior = _prior_from(_need(cfg, "prior"))
+    prior = _model(cfg, "prior")
+    if not prior.sorted_desc:
+        raise ConfigError("invalid field: prior.pmf must be ordered by "
+                          "non-increasing probability for vlft")
     seed, trials = cfg["seed"], cfg["trials"]
     rule = cfg.get("decode_rule", "map_stop")
 
@@ -190,7 +201,7 @@ def _run_vlft(cfg, workers):
 
 def _run_jscc_excess(cfg, workers):
     dmc = _simulated_channel(cfg)
-    src = _source_from(_need(cfg, "source"))
+    src = _model(cfg, "source")
     k, d, eps = int(_need(cfg, "k")), float(_need(cfg, "d")), float(_need(cfg, "eps"))
     if not 0 < eps < 1:
         raise ConfigError(f"invalid field: eps={eps} must lie in (0, 1)")
@@ -213,7 +224,7 @@ def _run_jscc_excess(cfg, workers):
 
 def _run_jscc_average(cfg, workers):
     dmc = _simulated_channel(cfg)
-    src = _source_from(_need(cfg, "source"))
+    src = _model(cfg, "source")
     k, d = int(_need(cfg, "k")), float(_need(cfg, "d"))
     rd = ba_rate_distortion(src, d)
     st = simulate_average(k, d, dmc, rd, cfg["seed"], cfg["trials"],
@@ -230,7 +241,7 @@ def _run_jscc_average(cfg, workers):
 
 def _run_jscc_guaranteed(cfg, workers):
     dmc = _simulated_channel(cfg)
-    src = _source_from(_need(cfg, "source"))
+    src = _model(cfg, "source")
     k, d = int(_need(cfg, "k")), float(_need(cfg, "d"))
     st = simulate_guaranteed(k, d, dmc, src, cfg["seed"], cfg["trials"],
                              workers=workers)
@@ -255,7 +266,7 @@ def _run_sk(cfg, workers):
 
 
 def _run_energy_vl(cfg, workers):
-    prior = _prior_from(_need(cfg, "prior"))
+    prior = _model(cfg, "prior")
     N0 = float(cfg.get("N0", 2.0))
     tx = IdealBitTransmitter(N0)
     words = huffman_code(prior)
@@ -295,28 +306,28 @@ def _run_bound(cfg, workers):
     which = _need(cfg, "which", "bound.")
     out = {}
     if which == "capacity":
-        dmc = _channel_from(_need(cfg, "channel"))
+        dmc = _model(cfg, "channel")
         out = {"capacity_nats": dmc.C, "a0_nats": dmc.a0}
     elif which == "rd":
-        rd = ba_rate_distortion(_source_from(_need(cfg, "source")),
+        rd = ba_rate_distortion(_model(cfg, "source"),
                                 float(_need(cfg, "d")))
         out = {"rate_nats": rd.rate, "slope": rd.slope,
                "dispersion_nats2": rd.dispersion}
     elif which == "expansion":
-        rd = ba_rate_distortion(_source_from(_need(cfg, "source")),
+        rd = ba_rate_distortion(_model(cfg, "source"),
                                 float(_need(cfg, "d")))
         out = {"rate_expansion_nats": source_expansion(
             int(_need(cfg, "k")), float(cfg["d"]), float(_need(cfg, "eps")), rd)}
     elif which == "naive_separation":
-        dmc = _channel_from(_need(cfg, "channel"))
-        rd = ba_rate_distortion(_source_from(_need(cfg, "source")),
+        dmc = _model(cfg, "channel")
+        rd = ba_rate_distortion(_model(cfg, "source"),
                                 float(_need(cfg, "d")))
         out = {"length": naive_separation_bound(
             int(_need(cfg, "k")), float(cfg["d"]), float(_need(cfg, "eps")),
             dmc.C, rd)}
     elif which == "converse_length":
-        dmc = _channel_from(_need(cfg, "channel"))
-        rd = ba_rate_distortion(_source_from(_need(cfg, "source")),
+        dmc = _model(cfg, "channel")
+        rd = ba_rate_distortion(_model(cfg, "source"),
                                 float(_need(cfg, "d")))
         k, d, eps = int(_need(cfg, "k")), float(cfg["d"]), float(_need(cfg, "eps"))
         out = {"vlf_length": vlf_converse_length(k, d, eps, rd, dmc.C),
@@ -324,13 +335,13 @@ def _run_bound(cfg, workers):
     elif which == "energy_expansion":
         rd = None
         if "source" in cfg:
-            rd = ba_rate_distortion(_source_from(cfg["source"]),
+            rd = ba_rate_distortion(_model(cfg, "source"),
                                     float(_need(cfg, "d")))
         out = {"energy_nats": energy_expansion(
             _need(cfg, "expansion_kind", "bound."), int(_need(cfg, "k")),
             rd, cfg.get("eps"))}
     elif which == "awgn_converse":
-        rd = ba_rate_distortion(_source_from(_need(cfg, "source")),
+        rd = ba_rate_distortion(_model(cfg, "source"),
                                 float(_need(cfg, "d")))
         out = {"eps_lower": awgn_jscc_converse(
             rd, int(_need(cfg, "k")), float(_need(cfg, "E")),

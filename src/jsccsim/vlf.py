@@ -64,6 +64,8 @@ class MessagePrior:
 
 
 def uniform_prior(M: int) -> MessagePrior:
+    if M < 1:
+        raise ValueError("M must be at least 1")
     return MessagePrior(np.full(M, 1.0 / M))
 
 

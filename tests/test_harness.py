@@ -184,6 +184,59 @@ def test_simulated_kinds_reject_zero_capacity_channel(kind):
     assert cap.metrics["capacity_nats"]["estimate"] == 0.0
 
 
+def _exit_code(tmp_path, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return cli_main([command, "--config", str(path), "--out", str(tmp_path / "out.json")])
+
+
+def test_uniform_prior_without_messages_is_a_config_error(tmp_path):
+    cfg = dict(SF_CFG, prior={"kind": "uniform", "M": 0})
+    with pytest.raises(ConfigError, match="prior.M"):
+        run(cfg)
+    assert _exit_code(tmp_path, "sim-vlf", cfg) == 2
+
+
+@pytest.mark.parametrize("command, field, cfg", [
+    ("sim-vlf", "channel.delta", dict(SF_CFG, channel={"kind": "bsc", "delta": 1.5})),
+    ("sim-vlf", "prior.q", dict(SF_CFG, prior={"kind": "geometric", "q": 1.0})),
+    ("sim-jscc", "source.p", dict(EXCESS_CFG, source={"kind": "bernoulli", "p": 1.5})),
+])
+def test_model_domain_errors_are_config_errors_naming_the_field(tmp_path, command,
+                                                                 field, cfg):
+    with pytest.raises(ConfigError, match=field):
+        run(cfg)
+    assert _exit_code(tmp_path, command, cfg) == 2
+
+
+def test_unsorted_vlft_prior_is_rejected_before_any_trial(tmp_path):
+    cfg = dict(SIMULATED["vlft"], prior={"kind": "pmf", "pmf": [0.2, 0.3, 0.5]})
+    with pytest.raises(ConfigError, match="prior.pmf"):
+        run(cfg)
+    assert _exit_code(tmp_path, "sim-vlft", cfg) == 2
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", True, -1, 2 ** 64])
+def test_seed_must_be_an_integer_in_uint64_range(tmp_path, seed):
+    cfg = dict(SF_CFG, seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        run(cfg)
+    assert _exit_code(tmp_path, "sim-vlf", cfg) == 2
+
+
+def test_largest_seed_runs():
+    assert run(dict(SF_CFG, seed=2 ** 64 - 1)).violations == []
+
+
+def test_cli_subcommands_fill_in_kind_and_bound(tmp_path):
+    assert _exit_code(tmp_path, "rd", {"source": BERN, "d": 0.1}) == 0
+    rec = json.loads((tmp_path / "out.json").read_text())[0]
+    assert (rec["kind"], rec["config"]["which"]) == ("bound", "rd")
+    cfg = {k: v for k, v in SIMULATED["vlft"].items() if k != "kind"}
+    assert _exit_code(tmp_path, "sim-vlft", cfg) == 0
+    assert json.loads((tmp_path / "out.json").read_text())[0]["kind"] == "vlft"
+
+
 def test_cli_sweep_and_units(tmp_path, capsys):
     cfg = tmp_path / "sk.json"
     cfg.write_text(json.dumps({"kind": "sk", "P": 1.0, "n": 2,
