@@ -120,11 +120,14 @@ def validate(config: dict) -> dict:
         trials = _need(config, "trials")
         if not isinstance(trials, int) or trials < 1:
             raise ConfigError("invalid field: trials must be a positive integer")
-        seed = _need(config, "seed")
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-            raise ConfigError(f"invalid field: seed={seed!r} must be an integer "
-                              "in [0, 2^64)")
+        _check_seed(_need(config, "seed"))
     return config
+
+
+def _check_seed(seed):
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"invalid field: seed={seed!r} must be an integer in [0, 2^64)")
+    return seed
 
 
 def _stat(x: np.ndarray, require_ci: bool = True):
@@ -382,7 +385,7 @@ def sweep(base: dict, grid: dict, workers: int = 1):
         return [run(dict(base), workers)]
     records = []
     idx = 0
-    master = base.get("seed", 0)
+    master = _check_seed(base.get("seed", 0))
     combos = ([(a,) for a in values[0]] if len(names) == 1
               else [(a, b) for a in values[0] for b in values[1]])
     for combo in combos:

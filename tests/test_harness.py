@@ -222,6 +222,8 @@ def test_seed_must_be_an_integer_in_uint64_range(tmp_path, seed):
     with pytest.raises(ConfigError, match="seed"):
         run(cfg)
     assert _exit_code(tmp_path, "sim-vlf", cfg) == 2
+    with pytest.raises(ConfigError, match="seed"):
+        sweep(cfg, {"gamma_nats": [4.0, 5.0]})
 
 
 def test_largest_seed_runs():
