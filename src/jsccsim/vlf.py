@@ -134,7 +134,11 @@ def _running_sums(dmc: Dmc, rng: RngStream, rows, w_row: int, block: int,
         X = codebook.block(rows, n0, length)
         y = dmc_steps(dmc, X[w_row], noise.uniforms_at(n0, length))
         D = dmc.log_density[X, y[None, :]]
-        S = carry[:, None] + np.cumsum(D, axis=1)
+        # Block-sized arrays set the peak memory at large M, and the caller
+        # still holds the previous D and S here: drop X and sum in place.
+        del X
+        S = np.cumsum(D, axis=1)
+        S += carry[:, None]
         yield n0, carry, D, S
         carry = S[:, -1]
         n0 += length
