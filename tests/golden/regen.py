@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from jsccsim.channels import Dmc, bsc
-from jsccsim.energy import EnergyBudget, lossy_energy_error_bound
+from jsccsim.energy import (EnergyBudget, SequentialBitTransmitter,
+                            lossy_energy_error_bound, vl_feedback_energy_trial)
 from jsccsim.harness import run
 from jsccsim.ratedist import bernoulli_hamming
 from jsccsim.rng import seed_stream
@@ -124,8 +125,31 @@ def _vlft_sum(dmc, n_max, seed):
     return _transcripts(lambda rng: vlft_sum_trial(dmc, _PRIOR, rng, n_max), seed)
 
 
-# (name, thunk): estimators that do not go through harness.run, and per-trial
-# transcripts of the three transmitters; their results are pinned by repr.
+def _sequential_energy(N0, seed):
+    tx = SequentialBitTransmitter(N0)
+    return _transcripts(lambda rng: vl_feedback_energy_trial(_PRIOR, tx, rng), seed)
+
+
+# Master seeds and stream ids at both ends of [0, 2^64), and the sub-stream
+# tags the simulators derive.
+_KEY_SEEDS = (0, 1, 12345, 2 ** 63, 2 ** 64 - 1)
+_KEY_STREAMS = (0, 1, 999, 2 ** 63, 2 ** 64 - 1)
+
+
+def _stream_keys():
+    """(seed, stream, key, derived keys for tags 1-4) over the seed grid."""
+    rows = []
+    for s in _KEY_SEEDS:
+        for t in _KEY_STREAMS:
+            stream = seed_stream(s, t)
+            rows.append((s, t, stream.key,
+                         tuple(stream.derive(tag).key for tag in (1, 2, 3, 4))))
+    return rows
+
+
+# (name, thunk): estimators that do not go through harness.run, per-trial
+# transcripts of the three VLF transmitters and of the sequential bit
+# transmitter, and raw stream keys; their results are pinned by repr.
 CALLS = [
     ("lossy_energy_k6_m64", _lossy(6, 0.2, 64, 8.0, 6.0, 21, 300)),
     ("lossy_energy_rate_zero", _lossy(4, 1.0, 8, 3.0, 3.0, 20, 300)),
@@ -143,6 +167,9 @@ CALLS = [
         # 300 is not a block boundary of the 32, 64, 128, ... schedule
         ("vlft_sum_n300", _vlft_sum, 300),
     )
+] + [
+    ("transcripts_energy_vl_sequential", _sequential_energy(2.0, 503)),
+    ("stream_keys", _stream_keys),
 ]
 
 
