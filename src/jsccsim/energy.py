@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .info import LN2, lattice_convolution, normal_tail_inv
 from .jscc import analytic_miss, dball_encode, lossy_trial, type_ball_probs
@@ -22,6 +22,11 @@ from .ratedist import (RdSolution, ba_rate_distortion, d_min_max, tilted_informa
                        zero_rate_solution)
 from .rng import RngStream, half_width, run_trials, seed_stream
 from .vlf import MessagePrior
+
+
+def _noise_sd(N0: float) -> float:
+    """Standard deviation of the noise per real dimension (variance N0/2)."""
+    return np.sqrt(N0 / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +138,14 @@ class SequentialBitTransmitter:
         self.delta = float(delta)
         self.step_energy = float(step_energy) if step_energy else 0.25 * self.N0
         self.threshold = np.log((1 - delta) / delta)
+        self.sd = _noise_sd(self.N0)
 
     def send(self, bit: int, rng: RngStream):
         a = np.sqrt(self.step_energy)
         sgn = 1.0 if bit else -1.0
         llr, energy = 0.0, 0.0
-        sd = np.sqrt(self.N0 / 2.0)
         while abs(llr) < self.threshold:
-            y = sgn * a + sd * float(rng.normals(1)[0])
+            y = sgn * a + self.sd * float(ndtri(rng.uniform()))
             llr += 4.0 * a * y / self.N0
             energy += self.step_energy
         return (1 if llr > 0 else 0), self.delta, energy
@@ -197,7 +202,7 @@ def ppm_trials(E: float, m: int, N0: float, trials: int, master_seed: int,
     if m > 2 ** 16:
         raise ValueError("m too large to materialize coordinates")
     rng = seed_stream(master_seed, stream_id)
-    sd = np.sqrt(N0 / 2.0)
+    sd = _noise_sd(N0)
     errs = np.empty(trials)
     chunk = max(1, min(trials, 2 ** 22 // max(m, 1)))
     done = 0
@@ -303,7 +308,7 @@ def lossy_energy_error_bound(src, k: int, d: float, M: int,
 
     # end-to-end simulation of the actual two-stage scheme
     L = _header_size(M)
-    sd = np.sqrt(N0 / 2.0)
+    sd = _noise_sd(N0)
     pmf_cum = np.cumsum(src.pmf)
     dm = src.distortion
 

@@ -5,6 +5,10 @@ Every stream is a pure function of (master seed, stream id, counter), so a
 trial can be replayed bit-exactly and trials can be dispatched to any number
 of workers without coordinating state.  The generator is a splitmix64-style
 counter hash: output i of a stream is finalize(key + i * GOLDEN).
+
+Stream keys are Python ints in [0, 2^64), and deriving a key, or drawing one
+value with ``RngStream.uniform``, runs the finalizer on Python ints masked to
+64 bits.  numpy is used only where a call draws a vector of values.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import ndtri
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+_GOLDEN = np.uint64(_GOLDEN_INT)
 _U64 = np.uint64
 _INV53 = 2.0 ** -53
 
@@ -33,19 +39,30 @@ def _mix(z):
         return z
 
 
+def _mix_int(z: int) -> int:
+    """``_mix`` of one value in [0, 2^64), on Python ints."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def _unit(h):
     """Top 53 bits of each hash as a uniform in (0, 1)."""
     return ((h >> _U64(11)).astype(np.float64) + 0.5) * _INV53
 
 
-def _stream_uniforms(key, start: int, n: int) -> np.ndarray:
+def _stream_uniforms(key: int, start: int, n: int) -> np.ndarray:
     idx = np.arange(start, start + n, dtype=np.uint64)
-    return _unit(_mix(key + idx * _GOLDEN))
+    return _unit(_mix(_U64(key) + idx * _GOLDEN))
 
 
-def _fold(key, word):
-    with np.errstate(over="ignore"):
-        return _mix(key ^ (_mix(_U64(word) + _GOLDEN) + _GOLDEN))
+def _fold(key: int, word) -> int:
+    """Key of the sub-stream ``word`` of ``key``; word must lie in [0, 2^64)."""
+    word = int(word)
+    if not 0 <= word <= _MASK64:
+        raise OverflowError(f"stream word {word} out of bounds for uint64")
+    inner = (_mix_int((word + _GOLDEN_INT) & _MASK64) + _GOLDEN_INT) & _MASK64
+    return _mix_int(key ^ inner)
 
 
 def keyed_uniforms_2d(key, rows, col_start, cols):
@@ -73,17 +90,22 @@ class RngStream:
         self.master_seed = int(master_seed)
         self.stream_id = int(stream_id)
         if _key is None:
-            _key = _fold(_fold(_GOLDEN, master_seed), stream_id)
+            _key = _fold(_fold(_GOLDEN_INT, master_seed), stream_id)
         self._key = _key
         self.counter = 0
 
     def derive(self, tag: int) -> "RngStream":
-        sub = RngStream(self.master_seed, self.stream_id, _key=_fold(self._key, tag))
-        return sub
+        return RngStream(self.master_seed, self.stream_id, _key=_fold(self._key, tag))
 
     @property
-    def key(self):
-        return int(self._key)
+    def key(self) -> int:
+        return self._key
+
+    def uniform(self) -> float:
+        """Next uniform in (0,1): the value ``uniforms(1)[0]`` would return."""
+        h = _mix_int((self._key + self.counter * _GOLDEN_INT) & _MASK64)
+        self.counter += 1
+        return ((h >> 11) + 0.5) * _INV53
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next n uniforms in (0,1)."""

@@ -9,6 +9,7 @@ full-decoder modes of the same trial share their codewords and channel noise.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,8 @@ class MessagePrior:
         self.pmf = pmf / pmf.sum()
         self.tail_mass = float(tail_mass)
         self.self_info = -np.log(self.pmf)  # nats
-        self.cum = np.cumsum(self.pmf)
+        # a list: bisect on Python floats is the scalar searchsorted
+        self.cum = np.cumsum(self.pmf).tolist()
 
     @property
     def size(self) -> int:
@@ -59,8 +61,7 @@ class MessagePrior:
 
     def sample(self, rng: RngStream) -> int:
         """One message index, drawn with the stream's next uniform."""
-        w = int(np.searchsorted(self.cum, rng.uniforms(1)[0], side="right"))
-        return min(w, self.size - 1)
+        return min(bisect_right(self.cum, rng.uniform()), self.size - 1)
 
 
 def uniform_prior(M: int) -> MessagePrior:

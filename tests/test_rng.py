@@ -1,8 +1,14 @@
 """Counter-based random stream: reproducibility, independence, statistics."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jsccsim.rng import RngStream, keyed_uniforms_2d, seed_stream
+from jsccsim.rng import (_GOLDEN, RngStream, _fold, _mix, _mix_int, keyed_uniforms_2d,
+                         seed_stream)
+
+U64 = st.integers(0, 2 ** 64 - 1)
 
 
 def test_same_seed_and_stream_replays_exactly():
@@ -73,3 +79,52 @@ def test_stream_keys_injective_over_trial_ids():
 def test_rngstream_rejects_nothing_but_stays_deterministic_across_types():
     assert RngStream(np.uint64(5)).uniforms(4).tolist() == \
         RngStream(5).uniforms(4).tolist()
+
+
+def _fold_oracle(key: int, word: int) -> int:
+    """The fold on numpy uint64 scalars, as the vector hash computes it."""
+    with np.errstate(over="ignore"):
+        return int(_mix(np.uint64(key) ^ (_mix(np.uint64(word) + _GOLDEN) + _GOLDEN)))
+
+
+@settings(deadline=None)
+@given(U64)
+def test_int_mix_matches_numpy_mix(z):
+    assert _mix_int(z) == int(_mix(np.uint64(z)))
+
+
+@settings(deadline=None)
+@given(U64, U64)
+def test_int_fold_matches_numpy_fold(key, word):
+    assert _fold(key, word) == _fold_oracle(key, word)
+
+
+@settings(deadline=None)
+@given(U64, U64, st.integers(1, 40))
+def test_scalar_uniforms_equal_vector_uniforms(seed, stream, n):
+    s = seed_stream(seed, stream)
+    assert [s.uniform() for _ in range(n)] == seed_stream(seed, stream).uniforms(n).tolist()
+    assert s.counter == n
+
+
+@settings(deadline=None)
+@given(U64, st.lists(st.integers(0, 5), max_size=12))
+def test_scalar_and_vector_draws_share_one_counter(seed, sizes):
+    """A size of 0 stands for one ``uniform()`` call."""
+    s = seed_stream(seed, 3).derive(2)
+    got = []
+    for n in sizes:
+        got += [s.uniform()] if n == 0 else s.uniforms(n).tolist()
+    total = sum(max(n, 1) for n in sizes)
+    assert s.counter == total
+    assert got == seed_stream(seed, 3).derive(2).uniforms(total).tolist()
+
+
+@pytest.mark.parametrize("make", [lambda: seed_stream(-1, 0),
+                                  lambda: seed_stream(2 ** 64, 0),
+                                  lambda: seed_stream(0, -1),
+                                  lambda: seed_stream(0, 0).derive(-1),
+                                  lambda: seed_stream(0, 0).derive(2 ** 64)])
+def test_words_outside_uint64_raise_overflow(make):
+    with pytest.raises(OverflowError):
+        make()
