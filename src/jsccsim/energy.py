@@ -195,12 +195,16 @@ def ppm_error_prob(E: float, m: float, N0: float) -> float:
     return float(min(max(1.0 - val, 0.0), 1.0))
 
 
+PPM_MAX_M = 2 ** 16
+
+
 def ppm_trials(E: float, m: int, N0: float, trials: int, master_seed: int,
                stream_id: int = 0) -> np.ndarray:
     """Monte-Carlo PPM error flags: true coordinate sqrt(E)+Z0 against the
     maximum of m-1 pure-noise coordinates."""
-    if m > 2 ** 16:
-        raise ValueError("m too large to materialize coordinates")
+    if not 1 <= m <= PPM_MAX_M:
+        raise ValueError(f"m={m} outside [1, {PPM_MAX_M}], the sizes whose "
+                         "coordinates are materialized")
     rng = seed_stream(master_seed, stream_id)
     sd = _noise_sd(N0)
     errs = np.empty(trials)

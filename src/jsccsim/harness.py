@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Dmc, bec, bsc
-from .energy import (IdealBitTransmitter, awgn_jscc_converse, energy_expansion,
-                     huffman_code, ppm_error_prob, ppm_trials, sk_mse_batch,
-                     vl_feedback_energy_trial)
+from .energy import (PPM_MAX_M, IdealBitTransmitter, awgn_jscc_converse,
+                     energy_expansion, huffman_code, ppm_error_prob, ppm_trials,
+                     sk_mse_batch, vl_feedback_energy_trial)
 from .info import LN2
 from .jscc import (naive_separation_bound, simulate_average, simulate_excess,
                    simulate_guaranteed)
@@ -32,6 +32,8 @@ from .vlf import (MessagePrior, geometric_prior, stop_feedback_length_bound,
 
 SCHEMA_VERSION = 2
 MIN_TRIALS_FOR_CI = 1000
+# Kinds whose metrics carry normal-approximation confidence intervals.
+_CI_KINDS = ("stop_feedback", "vlft", "energy_vl", "ppm")
 
 
 class ConfigError(ValueError):
@@ -120,6 +122,10 @@ def validate(config: dict) -> dict:
         trials = _need(config, "trials")
         if not isinstance(trials, int) or trials < 1:
             raise ConfigError("invalid field: trials must be a positive integer")
+        if kind in _CI_KINDS and trials < MIN_TRIALS_FOR_CI:
+            raise ConfigError(
+                f"invalid field: trials={trials} below the {MIN_TRIALS_FOR_CI} minimum "
+                "for normal-approximation confidence intervals")
         _check_seed(_need(config, "seed"))
     return config
 
@@ -130,13 +136,18 @@ def _check_seed(seed):
     return seed
 
 
-def _stat(x: np.ndarray, require_ci: bool = True):
-    n = x.size
-    if require_ci and n < MIN_TRIALS_FOR_CI:
-        raise ConfigError(
-            f"invalid field: trials={n} below the {MIN_TRIALS_FOR_CI} minimum "
-            "for normal-approximation confidence intervals")
-    return {"estimate": float(x.mean()), "half_width": half_width(x), "n": int(n)}
+def _stat(x: np.ndarray):
+    return {"estimate": float(x.mean()), "half_width": half_width(x), "n": int(x.size)}
+
+
+def _rd(cfg: dict):
+    """R(d) of the config's source at its d; a d outside the source's
+    (d_min, d_max) is a ConfigError naming d."""
+    src, d = _model(cfg, "source"), float(_need(cfg, "d"))
+    try:
+        return ba_rate_distortion(src, d)
+    except ValueError as exc:
+        raise ConfigError(f"invalid field: d: {exc}") from exc
 
 
 def _se(metric):  # standard error back out of the 95% half-width
@@ -204,11 +215,10 @@ def _run_vlft(cfg, workers):
 
 def _run_jscc_excess(cfg, workers):
     dmc = _simulated_channel(cfg)
-    src = _model(cfg, "source")
     k, d, eps = int(_need(cfg, "k")), float(_need(cfg, "d")), float(_need(cfg, "eps"))
     if not 0 < eps < 1:
         raise ConfigError(f"invalid field: eps={eps} must lie in (0, 1)")
-    rd = ba_rate_distortion(src, d)
+    rd = _rd(cfg)
     split = tuple(cfg["split"]) if "split" in cfg else None
     st = simulate_excess(k, d, eps, dmc, rd, cfg["seed"], cfg["trials"],
                          split=split, mode=cfg.get("mode"), workers=workers)
@@ -227,9 +237,8 @@ def _run_jscc_excess(cfg, workers):
 
 def _run_jscc_average(cfg, workers):
     dmc = _simulated_channel(cfg)
-    src = _model(cfg, "source")
-    k, d = int(_need(cfg, "k")), float(_need(cfg, "d"))
-    rd = ba_rate_distortion(src, d)
+    rd = _rd(cfg)
+    k, d = int(_need(cfg, "k")), float(cfg["d"])
     st = simulate_average(k, d, dmc, rd, cfg["seed"], cfg["trials"],
                           M=cfg.get("M"), workers=workers)
     metrics = {
@@ -259,6 +268,12 @@ def _run_jscc_guaranteed(cfg, workers):
 def _run_sk(cfg, workers):
     sigma2 = float(cfg.get("sigma2", 1.0))
     P, n = float(_need(cfg, "P")), int(_need(cfg, "n"))
+    if not sigma2 > 0:
+        raise ConfigError(f"invalid field: sigma2={sigma2} must be > 0")
+    if not P >= 0:
+        raise ConfigError(f"invalid field: P={P} must be >= 0")
+    if n < 1:
+        raise ConfigError(f"invalid field: n={n} must be at least 1")
     mses, powers = sk_mse_batch(sigma2, P, n, cfg["trials"], cfg["seed"])
     metrics = {"mse": {"estimate": float(mses[-1]), "half_width": 0.0,
                        "n": cfg["trials"]},
@@ -294,6 +309,12 @@ def _run_energy_vl(cfg, workers):
 def _run_ppm(cfg, workers):
     E, m = float(_need(cfg, "E")), int(_need(cfg, "m"))
     N0 = float(cfg.get("N0", 2.0))
+    if not E >= 0:
+        raise ConfigError(f"invalid field: E={E} must be >= 0")
+    if not 1 <= m <= PPM_MAX_M:
+        raise ConfigError(f"invalid field: m={m} must lie in [1, {PPM_MAX_M}]")
+    if not N0 > 0:
+        raise ConfigError(f"invalid field: N0={N0} must be > 0")
     errs = ppm_trials(E, m, N0, cfg["trials"], cfg["seed"])
     err = _stat(errs)
     bound = ppm_error_prob(E, m, N0)
@@ -312,40 +333,34 @@ def _run_bound(cfg, workers):
         dmc = _model(cfg, "channel")
         out = {"capacity_nats": dmc.C, "a0_nats": dmc.a0}
     elif which == "rd":
-        rd = ba_rate_distortion(_model(cfg, "source"),
-                                float(_need(cfg, "d")))
+        rd = _rd(cfg)
         out = {"rate_nats": rd.rate, "slope": rd.slope,
                "dispersion_nats2": rd.dispersion}
     elif which == "expansion":
-        rd = ba_rate_distortion(_model(cfg, "source"),
-                                float(_need(cfg, "d")))
+        rd = _rd(cfg)
         out = {"rate_expansion_nats": source_expansion(
             int(_need(cfg, "k")), float(cfg["d"]), float(_need(cfg, "eps")), rd)}
     elif which == "naive_separation":
         dmc = _model(cfg, "channel")
-        rd = ba_rate_distortion(_model(cfg, "source"),
-                                float(_need(cfg, "d")))
+        rd = _rd(cfg)
         out = {"length": naive_separation_bound(
             int(_need(cfg, "k")), float(cfg["d"]), float(_need(cfg, "eps")),
             dmc.C, rd)}
     elif which == "converse_length":
         dmc = _model(cfg, "channel")
-        rd = ba_rate_distortion(_model(cfg, "source"),
-                                float(_need(cfg, "d")))
+        rd = _rd(cfg)
         k, d, eps = int(_need(cfg, "k")), float(cfg["d"]), float(_need(cfg, "eps"))
         out = {"vlf_length": vlf_converse_length(k, d, eps, rd, dmc.C),
                "vlft_length": vlft_converse_length(k, d, eps, rd, dmc.C)}
     elif which == "energy_expansion":
         rd = None
         if "source" in cfg:
-            rd = ba_rate_distortion(_model(cfg, "source"),
-                                    float(_need(cfg, "d")))
+            rd = _rd(cfg)
         out = {"energy_nats": energy_expansion(
             _need(cfg, "expansion_kind", "bound."), int(_need(cfg, "k")),
             rd, cfg.get("eps"))}
     elif which == "awgn_converse":
-        rd = ba_rate_distortion(_model(cfg, "source"),
-                                float(_need(cfg, "d")))
+        rd = _rd(cfg)
         out = {"eps_lower": awgn_jscc_converse(
             rd, int(_need(cfg, "k")), float(_need(cfg, "E")),
             float(cfg.get("N0", 2.0)), cfg.get("gamma"))}

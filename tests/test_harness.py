@@ -44,9 +44,12 @@ def test_unknown_kind_and_missing_fields_name_the_path():
 
 
 def test_small_trial_counts_rejected_for_ci_kinds():
-    cfg = dict(SF_CFG, trials=50)
-    with pytest.raises((ConfigError, ValueError)):
-        run(cfg)
+    for cfg in (SF_CFG, SIMULATED["vlft"], ENERGY_VL_CFG, PPM_CFG):
+        # validate runs no trial, so a short run fails before any trial
+        with pytest.raises(ConfigError, match="trials=999 below the 1000 minimum"):
+            validate(dict(cfg, trials=999))
+        validate(dict(cfg, trials=1000))
+    validate(dict(SIMULATED["jscc_average"], trials=50))
 
 
 def test_bound_runs():
@@ -224,6 +227,33 @@ def test_seed_must_be_an_integer_in_uint64_range(tmp_path, seed):
     assert _exit_code(tmp_path, "sim-vlf", cfg) == 2
     with pytest.raises(ConfigError, match="seed"):
         sweep(cfg, {"gamma_nats": [4.0, 5.0]})
+
+
+SK_CFG = {"kind": "sk", "P": 1.0, "n": 5, "trials": 1000, "seed": 0}
+ENERGY_VL_CFG = {"kind": "energy_vl", "prior": {"kind": "uniform", "M": 8},
+                 "trials": 1000, "seed": 0}
+PPM_CFG = {"kind": "ppm", "E": 4.0, "m": 4, "N0": 2.0, "trials": 1000, "seed": 0}
+RD_CFG = {"kind": "bound", "which": "rd", "source": {"kind": "bernoulli", "p": 0.2},
+          "d": 0.1}
+
+
+# ppm has no subcommand of its own; sweep without a grid runs any kind.
+@pytest.mark.parametrize("command, message, cfg", [
+    ("sim-sk", "n=-1", dict(SK_CFG, n=-1)),
+    ("sim-sk", "n=0", dict(SK_CFG, n=0)),
+    ("sim-sk", "P=-1.0", dict(SK_CFG, P=-1.0)),
+    ("sim-sk", "sigma2=0.0", dict(SK_CFG, sigma2=0.0)),
+    ("sweep", "m=0", dict(PPM_CFG, m=0)),
+    ("sweep", "m=131072", dict(PPM_CFG, m=2 ** 17)),
+    ("sweep", "N0=0.0", dict(PPM_CFG, N0=0.0)),
+    ("sweep", "E=-1.0", dict(PPM_CFG, E=-1.0)),
+    ("rd", "d: d=0.3 violates d < d_max", dict(RD_CFG, d=0.3)),
+    ("sim-jscc", "d: d=0.6 violates d < d_max", dict(EXCESS_CFG, d=0.6)),
+])
+def test_sk_ppm_and_rd_domain_errors_are_config_errors(tmp_path, command, message, cfg):
+    with pytest.raises(ConfigError, match=f"invalid field: {message}"):
+        run(cfg)
+    assert _exit_code(tmp_path, command, cfg) == 2
 
 
 def test_largest_seed_runs():
