@@ -95,4 +95,4 @@ def bec(delta: float) -> Dmc:
 def dmc_steps(dmc: Dmc, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized outputs for inputs x and per-use uniforms u."""
     # inverse-CDF per row: count of cumsum entries <= u
-    return (dmc.W_cum[x] <= u[:, None]).sum(axis=1)
+    return (dmc.W_cum[x] <= u[..., None]).sum(axis=-1)

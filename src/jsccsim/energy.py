@@ -20,7 +20,7 @@ from .info import LN2, lattice_convolution, normal_tail_inv
 from .jscc import analytic_miss, dball_encode, lossy_trial, type_ball_probs
 from .ratedist import (RdSolution, ba_rate_distortion, d_min_max, tilted_information,
                        zero_rate_solution)
-from .rng import RngStream, half_width, run_trials, seed_stream
+from .rng import RngStream, half_width, per_trial, run_trials, seed_stream
 from .vlf import MessagePrior
 
 
@@ -334,7 +334,7 @@ def lossy_energy_error_bound(src, k: int, d: float, M: int,
         z = cb.chunk(lo + int(np.argmax(zp)) - 1, 1)[0]
         return (float((not hit) or dm[s, z].mean() > d + 1e-12),)
 
-    fails = run_trials(trial, trials)[:, 0]
+    fails = run_trials(per_trial(trial), trials)[:, 0]
     return bound, float(fails.mean()), half_width(fails)
 
 

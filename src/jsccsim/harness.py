@@ -21,14 +21,15 @@ from .energy import (PPM_MAX_M, IdealBitTransmitter, awgn_jscc_converse,
                      energy_expansion, huffman_code, ppm_error_prob, ppm_trials,
                      sk_mse_batch, vl_feedback_energy_trial)
 from .info import LN2
-from .jscc import (naive_separation_bound, simulate_average, simulate_excess,
-                   simulate_guaranteed)
+from .jscc import (MATERIALIZE_MAX, average_codebook_size, naive_separation_bound,
+                   simulate_average, simulate_excess, simulate_guaranteed)
 from .ratedist import (ba_rate_distortion, bernoulli_hamming, discrete_source,
                        gaussian_source, source_expansion)
-from .rng import half_width, run_trials, seed_stream
-from .vlf import (MessagePrior, geometric_prior, stop_feedback_length_bound,
-                  stop_feedback_trial, uniform_prior, vlf_converse_length,
-                  vlft_converse_length, vlft_trial)
+from .rng import half_width, per_trial, run_trials, seed_stream, trial_keys
+from .vlf import (FULL_DECODER_MAX_SUPPORT, STOP_FEEDBACK_MODES, VLFT_DECODE_RULES,
+                  MessagePrior, geometric_prior, stop_feedback_length_bound,
+                  stop_feedback_many, uniform_prior, vlf_converse_length,
+                  vlft_converse_length, vlft_many)
 
 SCHEMA_VERSION = 2
 MIN_TRIALS_FOR_CI = 1000
@@ -102,6 +103,45 @@ def _model(cfg: dict, section: str):
         raise ConfigError(f"invalid field: {names}: {exc}") from exc
 
 
+def _choice(cfg: dict, key: str, allowed: tuple):
+    """cfg[key], default allowed[0]; a value outside ``allowed`` is a ConfigError."""
+    value = cfg.get(key, allowed[0])
+    if value not in allowed:
+        raise ConfigError(f"invalid field: {key}={value!r} must be one of "
+                          f"{', '.join(allowed)}")
+    return value
+
+
+def _positive(cfg: dict, key: str, default=None) -> float:
+    """cfg[key] (or the default) as a float; it must be finite and > 0."""
+    raw = _need(cfg, key) if default is None else cfg.get(key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = float("nan")
+    if not 0 < value < np.inf:
+        raise ConfigError(f"invalid field: {key}={raw!r} must be a finite number > 0")
+    return value
+
+
+def _block_length(cfg: dict, most: int | None = None) -> int:
+    """The source block length k: an integer >= 1, and <= most if given."""
+    k = _need(cfg, "k")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1 or (most and k > most):
+        bounds = f"in [1, {most}]" if most else ">= 1"
+        raise ConfigError(f"invalid field: k={k!r} must be an integer {bounds}")
+    return k
+
+
+def _decoder_prior(cfg: dict) -> MessagePrior:
+    """The prior of a kind that decodes over every message."""
+    prior = _model(cfg, "prior")
+    if prior.size > FULL_DECODER_MAX_SUPPORT:
+        raise ConfigError(f"invalid field: prior has {prior.size} messages; the full "
+                          f"decoder tracks at most {FULL_DECODER_MAX_SUPPORT}")
+    return prior
+
+
 def _simulated_channel(cfg: dict) -> Dmc:
     """The channel of a kind that simulates trials.  No trial over a
     zero-capacity channel ever stops, so such a channel is rejected up front."""
@@ -165,16 +205,18 @@ def run(config: dict, workers: int = 1) -> RunRecord:
 
 def _run_stop_feedback(cfg, workers):
     dmc = _simulated_channel(cfg)
-    prior = _model(cfg, "prior")
-    gamma = float(_need(cfg, "gamma_nats"))
-    mode = cfg.get("mode", "full_decoder")
+    gamma = _positive(cfg, "gamma_nats")
+    mode = _choice(cfg, "mode", STOP_FEEDBACK_MODES)
+    prior = _decoder_prior(cfg) if mode == "full_decoder" else _model(cfg, "prior")
     seed, trials = cfg["seed"], cfg["trials"]
 
-    def one(t):
-        tr = stop_feedback_trial(dmc, prior, gamma, mode, seed_stream(seed, t))
-        return tr.tau, tr.error, tr.info_sum
+    def shard(ids):
+        keys = trial_keys(seed, ids)
+        tau, _, error, info_sum = stop_feedback_many(dmc, prior, gamma, mode, keys,
+                                                     prior.sample_many(keys))
+        return np.column_stack((tau, error, info_sum))
 
-    rows = run_trials(one, trials, workers)
+    rows = run_trials(shard, trials, workers)
     tau, err = _stat(rows[:, 0]), _stat(rows[:, 1])
     metrics = {"tau": tau, "error": err, "info_sum_nats": _stat(rows[:, 2])}
     bounds = {
@@ -192,18 +234,20 @@ def _run_stop_feedback(cfg, workers):
 
 def _run_vlft(cfg, workers):
     dmc = _simulated_channel(cfg)
-    prior = _model(cfg, "prior")
+    prior = _decoder_prior(cfg)
     if not prior.sorted_desc:
         raise ConfigError("invalid field: prior.pmf must be ordered by "
                           "non-increasing probability for vlft")
     seed, trials = cfg["seed"], cfg["trials"]
-    rule = cfg.get("decode_rule", "map_stop")
+    rule = _choice(cfg, "decode_rule", VLFT_DECODE_RULES)
 
-    def one(t):
-        tr = vlft_trial(dmc, prior, seed_stream(seed, t), decode_rule=rule)
-        return tr.tau, tr.error, float(tr.anomaly)
+    def shard(ids):
+        keys = trial_keys(seed, ids)
+        tau, _, error, _ = vlft_many(dmc, prior, keys, prior.sample_many(keys), rule)
+        # a decoding error of the VLFT rules is an anomaly
+        return np.column_stack((tau, error, error))
 
-    rows = run_trials(one, trials, workers)
+    rows = run_trials(shard, trials, workers)
     metrics = {"tau": _stat(rows[:, 0]), "error": _stat(rows[:, 1]),
                "anomalies": _stat(rows[:, 2])}
     bounds = {"entropy_over_C": prior.entropy / dmc.C}
@@ -215,13 +259,19 @@ def _run_vlft(cfg, workers):
 
 def _run_jscc_excess(cfg, workers):
     dmc = _simulated_channel(cfg)
-    k, d, eps = int(_need(cfg, "k")), float(_need(cfg, "d")), float(_need(cfg, "eps"))
+    k, d, eps = _block_length(cfg), float(_need(cfg, "d")), float(_need(cfg, "eps"))
     if not 0 < eps < 1:
         raise ConfigError(f"invalid field: eps={eps} must lie in (0, 1)")
     rd = _rd(cfg)
     split = tuple(cfg["split"]) if "split" in cfg else None
+    if split is None and eps <= 1 / np.sqrt(k):
+        raise ConfigError(f"invalid field: eps={eps} must exceed 1/sqrt(k)={1 / np.sqrt(k):.4g} "
+                          "unless a split is given")
+    mode = cfg.get("mode")
+    if mode is not None:
+        mode = _choice(cfg, "mode", STOP_FEEDBACK_MODES)
     st = simulate_excess(k, d, eps, dmc, rd, cfg["seed"], cfg["trials"],
-                         split=split, mode=cfg.get("mode"), workers=workers)
+                         split=split, mode=mode, workers=workers)
     metrics = {
         "tau": {"estimate": st.ell_hat, "half_width": st.ell_half_width,
                 "n": st.trials},
@@ -238,9 +288,15 @@ def _run_jscc_excess(cfg, workers):
 def _run_jscc_average(cfg, workers):
     dmc = _simulated_channel(cfg)
     rd = _rd(cfg)
-    k, d = int(_need(cfg, "k")), float(cfg["d"])
-    st = simulate_average(k, d, dmc, rd, cfg["seed"], cfg["trials"],
-                          M=cfg.get("M"), workers=workers)
+    k, d = _block_length(cfg), float(cfg["d"])
+    given = cfg.get("M") is not None
+    M = cfg["M"] if given else average_codebook_size(k, rd)
+    if (isinstance(M, bool) or not isinstance(M, int) or not 1 <= M <= FULL_DECODER_MAX_SUPPORT
+            or M * k > MATERIALIZE_MAX):
+        raise ConfigError(f"invalid field: M={M!r}{'' if given else f' (the default for k={k})'} "
+                          f"must be an integer in [1, {FULL_DECODER_MAX_SUPPORT}] with "
+                          f"M*k <= {MATERIALIZE_MAX}")
+    st = simulate_average(k, d, dmc, rd, cfg["seed"], cfg["trials"], M=M, workers=workers)
     metrics = {
         "tau": {"estimate": st.ell_hat, "half_width": st.ell_half_width,
                 "n": st.trials},
@@ -254,7 +310,8 @@ def _run_jscc_average(cfg, workers):
 def _run_jscc_guaranteed(cfg, workers):
     dmc = _simulated_channel(cfg)
     src = _model(cfg, "source")
-    k, d = int(_need(cfg, "k")), float(_need(cfg, "d"))
+    # the covering map is an exhaustive search over source blocks
+    k, d = _block_length(cfg, most=4), float(_need(cfg, "d"))
     st = simulate_guaranteed(k, d, dmc, src, cfg["seed"], cfg["trials"],
                              workers=workers)
     metrics = {"tau": {"estimate": st.ell_hat, "half_width": st.ell_half_width,
@@ -285,7 +342,7 @@ def _run_sk(cfg, workers):
 
 def _run_energy_vl(cfg, workers):
     prior = _model(cfg, "prior")
-    N0 = float(cfg.get("N0", 2.0))
+    N0 = _positive(cfg, "N0", 2.0)
     tx = IdealBitTransmitter(N0)
     words = huffman_code(prior)
     seed = cfg["seed"]
@@ -295,7 +352,7 @@ def _run_energy_vl(cfg, workers):
                                              codewords=words)
         return float(ok), e, float(nb)
 
-    rows = run_trials(one, cfg["trials"], workers)
+    rows = run_trials(per_trial(one), cfg["trials"], workers)
     metrics = {"correct": _stat(rows[:, 0]), "energy": _stat(rows[:, 1]),
                "bits": _stat(rows[:, 2])}
     bounds = {"energy_bound": N0 * LN2 * (prior.entropy / LN2 + 1.0),

@@ -19,10 +19,11 @@ from .channels import Dmc
 from .info import lattice_convolution, normal_tail_inv
 from .ratedist import RdSolution, brute_force_deps_entropy, source_expansion
 from .rng import RngStream, half_width, keyed_uniforms_2d, run_trials, seed_stream
-from .vlf import (FULL_DECODER_MAX_SUPPORT, MessagePrior, stop_feedback_transmit,
-                  vlft_transmit)
+from .vlf import FULL_DECODER_MAX_SUPPORT, MessagePrior, stop_feedback_many, vlft_many
 
 _ENCODE_CHUNK = 4096
+# Most symbols (codewords x k) of a lossy codebook held in memory at once.
+MATERIALIZE_MAX = 2 ** 24
 
 
 class LossyCodebook:
@@ -49,7 +50,7 @@ class LossyCodebook:
     @property
     def points(self) -> np.ndarray:
         if self._points is None:
-            if self.M * self.k > 2 ** 24:
+            if self.M * self.k > MATERIALIZE_MAX:
                 raise ValueError("codebook too large to materialize")
             self._points = self.chunk(0, self.M)
         return self._points
@@ -181,6 +182,11 @@ def lossy_trial(master_seed: int, t: int, pmf_cum: np.ndarray, k: int, M: int,
     return rng, s, LossyCodebook(rng.derive(3).key, k, M, output_pmf)
 
 
+def _distortion(dm: np.ndarray, s: np.ndarray, cb: LossyCodebook, index: int) -> float:
+    """Average distortion between s and codeword ``index`` of cb."""
+    return float(dm[s, cb.chunk(index, 1)[0]].mean())
+
+
 def default_budget_split(eps: float, k: int):
     """Source gets eps - 1/sqrt(k), channel 1/sqrt(k)."""
     ch = 1.0 / np.sqrt(k)
@@ -218,15 +224,22 @@ def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
     pmf_cum = np.cumsum(rd.source.pmf)
     dm = rd.source.distortion
 
-    def trial(t):
-        rng, s, cb = lossy_trial(master_seed, t, pmf_cum, k, M, rd.output_pmf)
-        w, hit = dball_encode(s, cb, d, dm)
-        tr = stop_feedback_transmit(dmc, prior, gamma, w, mode, rng.derive(4))
-        decoded = tr.decoded if mode == "full_decoder" else w
-        dist = float(dm[s, cb.chunk(decoded, 1)[0]].mean())
-        return tr.tau, float((not hit) or dist > d + 1e-12), dist
+    def shard(ids):
+        # per-trial source step, then the shard's channel trials in one batch
+        enc = []
+        for t in ids.tolist():
+            rng, s, cb = lossy_trial(master_seed, t, pmf_cum, k, M, rd.output_pmf)
+            enc.append((rng.derive(4).key, s, cb, *dball_encode(s, cb, d, dm)))
+        keys, sources, cbs, ws, hits = zip(*enc)
+        # in true_path mode the batch decodes w itself
+        taus, decoded, _, _ = stop_feedback_many(dmc, prior, gamma, mode, keys, ws)
+        rows = []
+        for tau, s, cb, hit, dec in zip(taus.tolist(), sources, cbs, hits, decoded.tolist()):
+            dist = _distortion(dm, s, cb, dec)
+            rows.append((tau, float((not hit) or dist > d + 1e-12), dist))
+        return rows
 
-    taus, fails, dists = run_trials(trial, trials, workers).T
+    taus, fails, dists = run_trials(shard, trials, workers).T
     failure = fails.mean()
     if mode == "true_path":
         failure += np.exp(-gamma)  # analytic channel-error allowance
@@ -241,6 +254,11 @@ def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
                 "expansion_ell": source_expansion(k, d, eps, rd) / dmc.C})
 
 
+def average_codebook_size(k: int, rd: RdSolution) -> int:
+    """Codebook size of the average-distortion pipeline when none is given."""
+    return int(np.ceil(np.exp(k * rd.rate + 0.5 * np.log(k) + 1.0)))
+
+
 def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
                      master_seed: int, trials: int, M: int | None = None,
                      holder_p: float = 2.0, workers: int = 1) -> PipelineStats:
@@ -251,7 +269,9 @@ def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
     if rd.source.unbounded_distortion:
         raise ValueError("average-distortion mode requires bounded distortion")
     if M is None:
-        M = int(np.ceil(np.exp(k * rd.rate + 0.5 * np.log(k) + 1.0)))
+        M = average_codebook_size(k, rd)
+    if M < 1:
+        raise ValueError("M must be at least 1")
     if M > FULL_DECODER_MAX_SUPPORT:
         raise ValueError("codebook too large to materialize")
     eps_ch = float(k) ** (1.0 / holder_p - 2.0)
@@ -261,15 +281,21 @@ def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
     pmf_cum = np.cumsum(rd.source.pmf)
     dm = rd.source.distortion
 
-    def trial(t):
-        rng, s, cb = lossy_trial(master_seed, t, pmf_cum, k, M, rd.output_pmf)
-        w = min_distortion_encode(s, cb, dm)
-        tr = stop_feedback_transmit(dmc, prior, gamma, w, "full_decoder",
-                                    rng.derive(4))
-        return (tr.tau, tr.error, float(dm[s, cb.chunk(tr.decoded, 1)[0]].mean()),
-                float(dm[s, cb.chunk(w, 1)[0]].mean()))
+    def shard(ids):
+        enc = []
+        for t in ids.tolist():
+            rng, s, cb = lossy_trial(master_seed, t, pmf_cum, k, M, rd.output_pmf)
+            # keep a lazy copy: the shard's materialized codebooks would pile up
+            enc.append((rng.derive(4).key, s, LossyCodebook(cb.key, k, M, rd.output_pmf),
+                        min_distortion_encode(s, cb, dm)))
+        keys, sources, cbs, ws = zip(*enc)
+        taus, decoded, errs, _ = stop_feedback_many(dmc, prior, gamma, "full_decoder",
+                                                    keys, ws)
+        return [(tau, err, _distortion(dm, s, cb, dec), _distortion(dm, s, cb, w))
+                for tau, err, s, cb, dec, w in zip(taus.tolist(), errs.tolist(), sources,
+                                                   cbs, decoded.tolist(), ws)]
 
-    taus, errs, dists, src_dists = run_trials(trial, trials, workers).T
+    taus, errs, dists, src_dists = run_trials(shard, trials, workers).T
     return PipelineStats(
         ell_hat=float(taus.mean()), ell_half_width=half_width(taus),
         failure_hat=float(errs.mean()), failure_half_width=half_width(errs),
@@ -313,14 +339,18 @@ def simulate_guaranteed(k: int, d: float, dmc: Dmc, rd, master_seed: int,
     pmf_cum = np.cumsum(src.pmf)
     dm = src.distortion
 
-    def trial(t):
-        rng = seed_stream(master_seed, t)
-        s = _sample_block(pmf_cum, k, rng)
-        w = int(w_of_block[int(np.dot(s, digits))])
-        tr = vlft_transmit(dmc, prior, w, rng.derive(4))
-        return tr.tau, float(dm[s, cw_table[tr.decoded]].mean()) > d + 1e-12
+    def shard(ids):
+        enc = []
+        for t in ids.tolist():
+            rng = seed_stream(master_seed, t)
+            s = _sample_block(pmf_cum, k, rng)
+            enc.append((rng.derive(4).key, s, int(w_of_block[int(np.dot(s, digits))])))
+        keys, sources, ws = zip(*enc)
+        taus, decoded, _, _ = vlft_many(dmc, prior, keys, ws)
+        return [(tau, float(dm[s, cw_table[dec]].mean()) > d + 1e-12)
+                for tau, s, dec in zip(taus.tolist(), sources, decoded.tolist())]
 
-    taus, violated = run_trials(trial, trials, workers).T
+    taus, violated = run_trials(shard, trials, workers).T
     violations = int(violated.sum())
     if violations:
         raise AssertionError(f"guaranteed-distortion violated in {violations} trials")

@@ -8,7 +8,9 @@ counter hash: output i of a stream is finalize(key + i * GOLDEN).
 
 Stream keys are Python ints in [0, 2^64), and deriving a key, or drawing one
 value with ``RngStream.uniform``, runs the finalizer on Python ints masked to
-64 bits.  numpy is used only where a call draws a vector of values.
+64 bits.  numpy is used where a call draws a vector of values, and where the
+keys of many trials are folded at once (``fold_keys``, ``trial_keys``); the
+int ``_fold`` is the oracle of that vector fold.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ _U64 = np.uint64
 _INV53 = 2.0 ** -53
 
 
-def _mix(z):
-    """Stafford variant 13 of the splitmix64 finalizer (vectorized)."""
+def _mix(z, inplace: bool = False):
+    """Stafford variant 13 of the splitmix64 finalizer (vectorized).  With
+    ``inplace`` a uint64 array z is overwritten instead of copied."""
     with np.errstate(over="ignore"):
-        z = np.array(z, dtype=np.uint64, copy=True)
+        z = np.asarray(z, dtype=np.uint64) if inplace else np.array(z, dtype=np.uint64)
         t = np.empty_like(z)
         for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
             np.right_shift(z, _U64(shift), out=t)
@@ -47,13 +50,20 @@ def _mix_int(z: int) -> int:
 
 
 def _unit(h):
-    """Top 53 bits of each hash as a uniform in (0, 1)."""
-    return ((h >> _U64(11)).astype(np.float64) + 0.5) * _INV53
+    """Top 53 bits of each hash as a uniform in (0, 1); overwrites h."""
+    h >>= _U64(11)
+    u = h.astype(np.float64)
+    u += 0.5
+    u *= _INV53
+    return u
 
 
-def _stream_uniforms(key: int, start: int, n: int) -> np.ndarray:
+def _stream_uniforms(key, start: int, n: int) -> np.ndarray:
+    """Uniforms [start, start+n) of the stream ``key``, or of each stream of an
+    array of keys (one row per key)."""
     idx = np.arange(start, start + n, dtype=np.uint64)
-    return _unit(_mix(_U64(key) + idx * _GOLDEN))
+    return _unit(_mix(np.asarray(key, dtype=np.uint64)[..., None] + idx * _GOLDEN,
+                      inplace=True))
 
 
 def _fold(key: int, word) -> int:
@@ -65,16 +75,33 @@ def _fold(key: int, word) -> int:
     return _mix_int(key ^ inner)
 
 
-def keyed_uniforms_2d(key, rows, col_start, cols):
-    """Uniforms u[r, c] in (0,1) keyed by (key, rows[r], col_start + c).
+def fold_keys(keys, word) -> np.ndarray:
+    """``_fold`` over arrays: the keys of sub-stream ``word`` of ``keys``, with
+    keys and words broadcast as uint64."""
+    with np.errstate(over="ignore"):
+        inner = _mix(np.asarray(word, dtype=np.uint64) + _GOLDEN, inplace=True) + _GOLDEN
+        return _mix(np.asarray(keys, dtype=np.uint64) ^ inner, inplace=True)
 
-    The value at a given (row, column) pair never depends on which block of
-    columns is requested, which makes lazily generated infinite codewords
-    reproducible without storage.
+
+def trial_keys(master_seed: int, ids) -> np.ndarray:
+    """``seed_stream(master_seed, t).key`` for every trial id t of ``ids``."""
+    return fold_keys(_fold(_GOLDEN_INT, master_seed), ids)
+
+
+def keyed_uniforms_2d(key, rows, col_start, cols):
+    """Uniforms u[..., r, c] in (0,1) keyed by (key, rows[..., r], col_start + c).
+
+    ``key`` is one key, with rows of shape (R,); or an array of T keys, with
+    rows of shape (R,) shared by every key or (T, R), one row list per key,
+    giving a (T, R, cols) array.  The value at a given (key, row, column)
+    never depends on which block of columns is requested, which makes lazily
+    generated infinite codewords reproducible without storage.
     """
-    rows = np.asarray(rows, dtype=np.uint64).reshape(-1, 1)
-    cols = (np.uint64(col_start) + np.arange(cols, dtype=np.uint64)).reshape(1, -1)
-    return _unit(_mix(_mix(_U64(key) + rows * _GOLDEN) + cols * _GOLDEN))
+    rows = np.asarray(rows, dtype=np.uint64)
+    keys = np.asarray(key, dtype=np.uint64)[..., None]
+    cols = np.uint64(col_start) + np.arange(cols, dtype=np.uint64)
+    inner = _mix(keys + rows * _GOLDEN, inplace=True)[..., None]
+    return _unit(_mix(inner + cols * _GOLDEN, inplace=True))
 
 
 class RngStream:
@@ -127,19 +154,27 @@ def seed_stream(master_seed: int, trial_id: int) -> RngStream:
 
 
 def run_trials(fn, trials: int, workers: int = 1) -> np.ndarray:
-    """Evaluate fn(trial_id) -> tuple of floats for every id in range(trials)
-    and stack the rows in trial-id order.
+    """Evaluate fn(ids) -> one row of floats per trial id over contiguous
+    shards of range(trials), and stack the rows in trial-id order.
 
-    A trial that draws only from ``seed_stream(seed, trial_id)`` is a pure
-    function of its id, so the rows, and every reduction over them, are the
-    same for any worker count.
+    There is one shard per worker; with more than one, the shards run on a
+    thread pool.  A trial that draws only from ``seed_stream(seed, trial_id)``
+    is a pure function of its id, so the rows, and every reduction over them,
+    are the same for any worker count.
     """
-    if workers <= 1:
-        rows = list(map(fn, range(trials)))
+    shards = np.array_split(np.arange(trials), max(1, min(workers, trials)))
+    if len(shards) == 1:
+        parts = [fn(shards[0])]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(fn, range(trials)))
-    return np.asarray(rows, dtype=np.float64)
+        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+            parts = list(pool.map(fn, shards))
+    return np.concatenate([np.asarray(p, dtype=np.float64).reshape(len(ids), -1)
+                           for p, ids in zip(parts, shards)])
+
+
+def per_trial(one):
+    """Shard function of ``run_trials`` that calls one(trial_id) per trial."""
+    return lambda ids: [one(t) for t in ids.tolist()]
 
 
 def half_width(x: np.ndarray) -> float:

@@ -5,6 +5,17 @@ Codewords are infinite i.i.d. strings from the capacity-achieving input
 distribution, generated lazily: symbol (message m, time n) is a pure function
 of (codebook key, m, n), so trials replay bit-exactly and the true-path and
 full-decoder modes of the same trial share their codewords and channel noise.
+
+Trials run in batches.  One block kernel, ``_running_sums``, advances the
+information-density sums of a batch of trials over (trials x rows x block)
+arrays and retires each trial when a stopping rule says so: the threshold
+crossing of stop-feedback (``stop_feedback_many``), one of the three VLFT
+rules (``vlft_many``), or the ``n_max`` cut of the length sum
+(``vlft_sum_many``).  Trial keys come from ``rng.trial_keys``, a vectorised
+fold over trial ids, and all trials of a batch share one block schedule, so
+every trial's numbers are those it gets when run alone.  The per-trial
+functions (``stop_feedback_transmit``, ``vlft_transmit``, ``vlft_sum_trial``
+and the ``*_trial`` draws) are batches of one.
 """
 
 from __future__ import annotations
@@ -17,11 +28,19 @@ import numpy as np
 from .channels import Dmc, dmc_steps
 from .info import entropy
 from .ratedist import source_expansion
-from .rng import RngStream, keyed_uniforms_2d, run_trials, seed_stream
+from .rng import (RngStream, _stream_uniforms, fold_keys, keyed_uniforms_2d,
+                  run_trials, trial_keys)
 
 TRIAL_USE_CAP = 10 ** 9
 _BLOCK0 = 32
 _BLOCK_MAX = 512
+# Working-set cap of the block kernel: (trial, row, column) cells per array of
+# one block step, and (trial, row) cells of the state of one batch.  A step
+# always takes at least one trial.
+_CELLS = 2 ** 17
+
+STOP_FEEDBACK_MODES = ("full_decoder", "true_path")
+VLFT_DECODE_RULES = ("map_stop", "first_dominance", "largest_at_stop")
 
 FULL_DECODER_MAX_SUPPORT = 2 ** 20
 
@@ -42,8 +61,9 @@ class MessagePrior:
         self.pmf = pmf / pmf.sum()
         self.tail_mass = float(tail_mass)
         self.self_info = -np.log(self.pmf)  # nats
+        self._cum = np.cumsum(self.pmf)
         # a list: bisect on Python floats is the scalar searchsorted
-        self.cum = np.cumsum(self.pmf).tolist()
+        self.cum = self._cum.tolist()
 
     @property
     def size(self) -> int:
@@ -62,6 +82,12 @@ class MessagePrior:
     def sample(self, rng: RngStream) -> int:
         """One message index, drawn with the stream's next uniform."""
         return min(bisect_right(self.cum, rng.uniform()), self.size - 1)
+
+    def sample_many(self, keys) -> np.ndarray:
+        """``sample`` of a fresh stream for each key: one message per key,
+        drawn with the stream's first uniform."""
+        u = _stream_uniforms(keys, 0, 1)[:, 0]
+        return np.minimum(np.searchsorted(self._cum, u, side="right"), self.size - 1)
 
 
 def uniform_prior(M: int) -> MessagePrior:
@@ -84,10 +110,15 @@ def geometric_prior(q: float, tail: float = 1e-9) -> MessagePrior:
 
 
 class LazyCodebook:
-    """Infinite random codebook: symbol (m, n) ~ caid, keyed by (seed, m, n)."""
+    """Infinite random codebook: symbol (m, n) ~ caid, keyed by (seed, m, n).
 
-    def __init__(self, key: int, caid_cum: np.ndarray):
-        self.key = int(key)
+    ``key`` is one codebook key, or an array of keys, one codebook per trial;
+    ``block`` then returns (trials, rows, length) symbols (see
+    ``keyed_uniforms_2d`` for the shapes of the rows).
+    """
+
+    def __init__(self, key, caid_cum: np.ndarray):
+        self.key = key if isinstance(key, np.ndarray) else int(key)
         self.caid_cum = caid_cum
 
     def block(self, messages, n0: int, length: int) -> np.ndarray:
@@ -112,38 +143,76 @@ class Transcript:
     tail_mass: float = 0.0
 
 
-def _running_sums(dmc: Dmc, rng: RngStream, rows, w_row: int, block: int,
-                  n_max: int | None = None):
-    """Running information-density sums of the codewords of ``rows`` while
-    row ``w_row`` is sent, one block of channel uses at a time.
+def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarray,
+                  block: int, stop, ids: np.ndarray, n_max: int | None = None):
+    """Advance the running information-density sums of the trials ``ids``
+    block by block until ``stop`` retires each of them, or to ``n_max``
+    channel uses.
 
-    Codewords come from sub-stream 1 of the trial and channel noise from
-    sub-stream 2.  Yields (n0, carry, D, S) per block: D[r, c] is row r's
-    density at use n0 + c + 1, carry[r] its sum over the first n0 uses and
-    S = carry + cumsum(D).  Blocks start at ``block`` uses and double up to
-    _BLOCK_MAX; with ``n_max`` the last block is cut so the sums end there.
+    Trial i has stream key keys[i] and sends row w_row[i] of its rows:
+    ``rows`` is one row list shared by every trial (shape (R,)) or one per
+    trial (shape (T, R)).  Codewords come from sub-stream 1 of each trial and
+    channel noise from sub-stream 2.  Blocks start at ``block`` uses and
+    double up to _BLOCK_MAX; with ``n_max`` the last block is cut so the sums
+    end there.  Every trial follows this one schedule.
+
+    The trials run in batches whose (trial, row) state has at most _CELLS
+    cells, and each block of a batch in steps of at most _CELLS (trial, row,
+    column) cells; both take at least one trial.  Per step,
+    ``stop(idx, pos, n0, carry, D, S)`` gets the step's trials ``idx`` and
+    their positions ``pos`` in the batch, D[j, r, c] = row r's density at use
+    n0 + c + 1, carry[j, r] = its sum over the first n0 uses and
+    S = carry + cumsum(D); it returns which of the trials stop.
     """
-    codebook = LazyCodebook(rng.derive(1).key, dmc.caid_cum)
-    noise = rng.derive(2)
-    carry = np.zeros(len(rows))
-    n0 = 0
-    while n_max is None or n0 < n_max:
-        if n0 > TRIAL_USE_CAP:
-            raise RuntimeError(f"trial exceeded {TRIAL_USE_CAP} channel uses "
-                               f"(C={dmc.C}); check the configuration")
-        length = block if n_max is None else min(block, n_max - n0)
-        X = codebook.block(rows, n0, length)
-        y = dmc_steps(dmc, X[w_row], noise.uniforms_at(n0, length))
-        D = dmc.log_density[X, y[None, :]]
-        # Block-sized arrays set the peak memory at large M, and the caller
-        # still holds the previous D and S here: drop X and sum in place.
-        del X
-        S = np.cumsum(D, axis=1)
-        S += carry[:, None]
-        yield n0, carry, D, S
-        carry = S[:, -1]
-        n0 += length
-        block = min(2 * block, _BLOCK_MAX)
+    R = rows.shape[-1]
+    cb_keys, noise_keys = fold_keys(keys, 1), fold_keys(keys, 2)
+    batch = max(1, _CELLS // R)
+    for lo in range(0, ids.size, batch):
+        batch_ids = ids[lo:lo + batch]
+        carry = np.zeros((batch_ids.size, R))
+        live = np.arange(batch_ids.size)
+        n0, size = 0, block
+        while live.size and (n_max is None or n0 < n_max):
+            if n0 > TRIAL_USE_CAP:
+                raise RuntimeError(f"trial exceeded {TRIAL_USE_CAP} channel uses "
+                                   f"(C={dmc.C}); check the configuration")
+            length = size if n_max is None else min(size, n_max - n0)
+            step = max(1, _CELLS // (R * length))
+            kept = []
+            for a in range(0, live.size, step):
+                pos = live[a:a + step]
+                idx = batch_ids[pos]
+                X = LazyCodebook(cb_keys[idx], dmc.caid_cum).block(
+                    rows if rows.ndim == 1 else rows[idx], n0, length)
+                y = dmc_steps(dmc, X[np.arange(idx.size), w_row[idx]],
+                              _stream_uniforms(noise_keys[idx], n0, length))
+                D = dmc.log_density[X, y[:, None, :]]
+                # block-sized arrays set the peak memory at large M (and the
+                # thread count times the working set with workers): drop each
+                # as soon as it is used
+                del X
+                S = np.cumsum(D, axis=2)
+                c = carry[pos]
+                S += c[:, :, None]
+                done = stop(idx, pos, n0, c, D, S)
+                carry[pos] = S[:, :, -1]
+                kept.append(pos[~done])
+                del D, S
+            live = np.concatenate(kept)
+            n0 += length
+            size = min(2 * size, _BLOCK_MAX)
+
+
+def _true_sums(carry, D, j, w, col) -> list:
+    """carry[j, w] + D[j, w, :col + 1].sum() for each stopped trial: the
+    pairwise sum over a contiguous slice, as a trial run alone takes it."""
+    return [carry[a, b] + D[a, b, :c + 1].sum()
+            for a, b, c in zip(j.tolist(), w.tolist(), col.tolist())]
+
+
+def _batch_args(keys, w):
+    """Stream keys and messages of a batch as uint64 and int64 arrays."""
+    return np.asarray(keys, dtype=np.uint64), np.asarray(w, dtype=np.int64)
 
 
 def stop_feedback_trial(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
@@ -160,38 +229,61 @@ def stop_feedback_transmit(dmc: Dmc, prior: MessagePrior, gamma: float, w: int,
     threshold crossing, decodes the earliest-crossing message (smallest index
     on ties).  true_path: runs only the true message's sum and returns its
     crossing time tau_W >= tau*, with the analytic error bound exp(-gamma)
-    in place of an error flag.
+    in place of an error flag.  A batch of one of ``stop_feedback_many``.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if mode not in ("full_decoder", "true_path"):
+    tau, decoded, error, info_sum = stop_feedback_many(dmc, prior, gamma, mode,
+                                                       [rng.key], [w])
+    return Transcript(true_message=w,
+                      decoded=int(decoded[0]) if mode == "full_decoder" else None,
+                      tau=int(tau[0]), error=float(error[0]), mode=mode, gamma=gamma,
+                      info_sum=float(info_sum[0]), tail_mass=prior.tail_mass)
+
+
+def stop_feedback_many(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
+                       keys, w):
+    """Stop-feedback trials with stream keys ``keys``, trial i transmitting
+    message w[i]: the batched ``stop_feedback_transmit``.
+
+    Returns (tau, decoded, error, info_sum) arrays, where info_sum is the
+    true-path running sum at tau.  In true_path mode decoded is w and error
+    is the analytic exp(-gamma).
+    """
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if mode not in STOP_FEEDBACK_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     full = mode == "full_decoder"
     if full and prior.size > FULL_DECODER_MAX_SUPPORT:
         raise ValueError("full_decoder mode supports at most 2^20 messages")
-
-    rows = np.arange(prior.size) if full else np.array([w])
+    keys, w = _batch_args(keys, w)
+    tau, decoded, info_sum = np.zeros(w.size, np.int64), w.copy(), np.zeros(w.size)
+    rows = np.arange(prior.size) if full else w[:, None]
     thresholds = gamma + prior.self_info[rows]
+
+    def stop(idx, pos, n0, carry, D, S):
+        crossed = S >= (thresholds[:, None] if full else thresholds[idx][:, :, None])
+        any_row = crossed.any(axis=1)
+        hit = any_row.any(axis=1)
+        j = np.flatnonzero(hit)
+        col = any_row[j].argmax(axis=1)
+        t = idx[j]
+        tau[t] = n0 + 1 + col
+        if full:
+            # the earliest-crossing message, smallest index on ties, and the
+            # true-path running sum at the decoder's stopping time
+            decoded[t] = crossed[j, :, col].argmax(axis=1)
+            info_sum[t] = _true_sums(carry, D, j, w[t], col)
+        else:
+            info_sum[t] = S[j, 0, col]
+        return hit
+
     # first block sized near the expected stopping time to minimize wasted work
     expect = (prior.entropy + gamma + dmc.a0) / dmc.C
     block0 = int(np.clip(32 * np.ceil(1.25 * expect / 32), _BLOCK0, _BLOCK_MAX))
-    for n0, carry, D, S in _running_sums(dmc, rng, rows, w if full else 0, block0):
-        crossed = S >= thresholds[:, None]
-        hit = crossed.any(axis=1)
-        if hit.any():
-            cross_n = np.where(hit, n0 + 1 + np.argmax(crossed, axis=1), np.iinfo(np.int64).max)
-            tau = int(cross_n.min())
-            winner = int(np.argmin(cross_n))
-            col = tau - n0 - 1
-            if full:
-                # true-path running sum at the decoder's stopping time
-                info_sum = float(carry[w] + D[w, : col + 1].sum())
-                return Transcript(true_message=w, decoded=winner, tau=tau,
-                                  error=float(winner != w), mode=mode, gamma=gamma,
-                                  info_sum=info_sum, tail_mass=prior.tail_mass)
-            return Transcript(true_message=w, decoded=None, tau=tau,
-                              error=float(np.exp(-gamma)), mode=mode, gamma=gamma,
-                              info_sum=float(S[0, col]), tail_mass=prior.tail_mass)
+    _running_sums(dmc, keys, rows, w if full else np.zeros_like(w), block0, stop,
+                  np.arange(w.size))
+    error = (decoded != w).astype(np.float64) if full else np.full(w.size, np.exp(-gamma))
+    return tau, decoded, error, info_sum
 
 
 def stop_feedback_length_bound(H: float, eps: float, C: float, a0: float) -> float:
@@ -231,73 +323,102 @@ def vlft_transmit(dmc: Dmc, prior: MessagePrior, w: int, rng: RngStream,
 
     Those two are not zero-error on lattice-valued channels; any mismatch is
     counted as an anomaly, never silently dropped.  The true message's
-    prefix-dominance time is recorded as tau for those rules.
+    prefix-dominance time is recorded as tau for those rules.  A batch of one
+    of ``vlft_many``.
+    """
+    tau, decoded, error, info_sum = vlft_many(dmc, prior, [rng.key], [w], decode_rule)
+    return Transcript(true_message=w, decoded=int(decoded[0]), tau=int(tau[0]),
+                      error=float(error[0]), mode="vlft_full",
+                      info_sum=float(info_sum[0]), anomaly=bool(error[0]),
+                      tail_mass=prior.tail_mass)
+
+
+def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_stop"):
+    """Zero-error VLFT trials with stream keys ``keys``, trial i transmitting
+    message w[i]: the batched ``vlft_transmit``.
+
+    Returns (tau, decoded, error, info_sum) arrays; error is 1.0 where the
+    decoded message is not w, which is an anomaly of the dominance rules.
     """
     if not prior.sorted_desc:
         raise ValueError("VLFT prior must be ordered by non-increasing probability")
     if prior.size > FULL_DECODER_MAX_SUPPORT:
         raise ValueError("vlft_trial tracks all lower-index messages; support too large")
-    if decode_rule not in ("map_stop", "first_dominance", "largest_at_stop"):
+    if decode_rule not in VLFT_DECODE_RULES:
         raise ValueError(f"unknown decode rule {decode_rule!r}")
-
-    M = prior.size
-    iw = prior.self_info
-    neg_inf = -np.inf
+    keys, w = _batch_args(keys, w)
+    M, iw = prior.size, prior.self_info
+    map_rule = decode_rule == "map_stop"
 
     # time n = 0: I_0(m) = -i_W(m)
     i0 = -iw
-    prefmax0 = np.concatenate(([neg_inf], np.maximum.accumulate(i0)[:-1]))
-    first_dom = np.where(i0 > prefmax0, 0, -1)
-    map_first = 0 if np.argmax(i0) == w else -1
+    dom0 = i0 > np.concatenate(([-np.inf], np.maximum.accumulate(i0)[:-1]))
+    at0 = w == np.argmax(i0) if map_rule else dom0[w]
+    tau, decoded, info_sum = np.zeros(w.size, np.int64), w.copy(), np.zeros(w.size)
+    if decode_rule == "first_dominance":
+        decoded[at0] = np.argmax(dom0)
+        first_dom0 = np.where(dom0, 0, -1)
+        # first prefix-dominance time of each row, per position of a batch
+        first_dom = np.empty((min(w.size, max(1, _CELLS // M)), M), np.int64)
+    elif decode_rule == "largest_at_stop":
+        decoded[at0] = M - 1 - np.argmax(dom0[::-1])
 
-    stop_found = map_first == 0 if decode_rule == "map_stop" else first_dom[w] == 0
-    tau, info_sum, dom_at_tau_mask = 0, 0.0, i0 > prefmax0
-
-    if not stop_found:
-        for n0, carry, D, S in _running_sums(dmc, rng, np.arange(M), w, _BLOCK0):
-            I = S - iw[:, None]
-            prefmax = np.vstack([np.full((1, I.shape[1]), neg_inf),
-                                 np.maximum.accumulate(I, axis=0)[:-1]])
+    def stop(idx, pos, n0, carry, D, S):
+        I = S - iw[:, None]
+        wi = w[idx]
+        if map_rule:
+            # the running estimate, smallest index on ties, equals W
+            hits = I.argmax(axis=1) == wi[:, None]
+        else:
+            prefmax = np.full_like(I, -np.inf)
+            np.maximum.accumulate(I[:, :-1], axis=1, out=prefmax[:, 1:])
             dom = I > prefmax
-            newly = dom.any(axis=1) & (first_dom < 0)
-            first_dom[newly] = n0 + 1 + np.argmax(dom[newly], axis=1)
-            if map_first < 0:
-                map_ok = np.argmax(I, axis=0) == w
-                if map_ok.any():
-                    map_first = n0 + 1 + int(np.argmax(map_ok))
-            stop = map_first if decode_rule == "map_stop" else first_dom[w]
-            if stop >= n0 + 1:
-                tau = int(stop)
-                col = tau - n0 - 1
-                dom_at_tau_mask = I[:, col] > prefmax[:, col]
-                info_sum = float(carry[w] + D[w, : col + 1].sum())
-                break
+            hits = dom[np.arange(idx.size), wi]
+        hit = hits.any(axis=1)
+        j = np.flatnonzero(hit)
+        col = hits[j].argmax(axis=1)
+        t = idx[j]
+        tau[t] = n0 + 1 + col
+        info_sum[t] = _true_sums(carry, D, j, w[t], col)
+        if decode_rule == "first_dominance":
+            fd = first_dom[pos] if n0 else np.tile(first_dom0, (idx.size, 1))
+            newly = dom.any(axis=2) & (fd < 0)
+            fd[newly] = (n0 + 1 + dom.argmax(axis=2))[newly]
+            first_dom[pos] = fd
+            decoded[t] = (fd[j] == tau[t][:, None]).argmax(axis=1)
+        elif decode_rule == "largest_at_stop":
+            decoded[t] = M - 1 - dom[j, ::-1, col].argmax(axis=1)
+        return hit
 
-    if decode_rule == "map_stop":
-        decoded = w
-    elif decode_rule == "first_dominance":
-        decoded = int(np.flatnonzero(first_dom == tau).min())
-    else:
-        decoded = int(np.flatnonzero(dom_at_tau_mask).max())
-    return Transcript(true_message=w, decoded=decoded, tau=tau,
-                      error=float(decoded != w), mode="vlft_full",
-                      info_sum=info_sum, anomaly=decoded != w,
-                      tail_mass=prior.tail_mass)
+    _running_sums(dmc, keys, np.arange(M), w, _BLOCK0, stop, np.flatnonzero(~at0))
+    return tau, decoded, (decoded != w).astype(np.float64), info_sum
 
 
 def vlft_sum_trial(dmc: Dmc, prior: MessagePrior, rng: RngStream, n_max: int):
     """True-path contribution sum_{n=0}^{n_max} exp(-|i(X^n;Y^n) - i_W(W)|+).
 
     Returns (partial sum, summand at n_max) so the caller can verify the tail
-    has converged.
+    has converged.  A batch of one of ``vlft_sum_many``.
     """
-    w = prior.sample(rng)
+    total, last = vlft_sum_many(dmc, prior, [rng.key], [prior.sample(rng)], n_max)
+    return float(total[0]), float(last[0])
+
+
+def vlft_sum_many(dmc: Dmc, prior: MessagePrior, keys, w, n_max: int):
+    """``vlft_sum_trial`` of the trials with stream keys ``keys`` and messages
+    w: (partial sums, summands at n_max) arrays."""
+    keys, w = _batch_args(keys, w)
     iw = prior.self_info[w]
-    total = last = 1.0  # n = 0 term: exp(-|0 - iw|+) = 1 for iw >= 0
-    for _, _, _, S in _running_sums(dmc, rng, [w], 0, _BLOCK0, n_max):
-        terms = np.exp(-np.maximum(S[0] - iw, 0.0))
-        total += float(terms.sum())
-        last = float(terms[-1])
+    total, last = np.ones(w.size), np.ones(w.size)  # n = 0 term: exp(-|0 - iw|+) = 1
+
+    def stop(idx, pos, n0, carry, D, S):
+        terms = np.exp(-np.maximum(S[:, 0] - iw[idx, None], 0.0))
+        total[idx] += terms.sum(axis=1)
+        last[idx] = terms[:, -1]
+        return np.zeros(idx.size, dtype=bool)
+
+    _running_sums(dmc, keys, w[:, None], np.zeros_like(w), _BLOCK0, stop,
+                  np.arange(w.size), n_max)
     return total, last
 
 
@@ -308,9 +429,12 @@ def vlft_length_via_sum(dmc: Dmc, prior: MessagePrior, master_seed: int,
     Scales to arbitrarily large message sets.  Raises if the summand has not
     decayed below tail_tol by n_max.
     """
-    vals, tails = run_trials(
-        lambda t: vlft_sum_trial(dmc, prior, seed_stream(master_seed, t), n_max),
-        trials).T
+    def shard(ids):
+        keys = trial_keys(master_seed, ids)
+        return np.column_stack(vlft_sum_many(dmc, prior, keys, prior.sample_many(keys),
+                                             n_max))
+
+    vals, tails = run_trials(shard, trials).T
     if tails.mean() > tail_tol:
         raise RuntimeError(
             f"length-sum tail not converged: mean summand at n_max={n_max} is "

@@ -286,3 +286,36 @@ def test_seed_stream_contract():
     assert seed_stream(5, 0).key != seed_stream(5, 1).key
     firsts = {seed_stream(5, t).key for t in range(1000)}
     assert len(firsts) == 1000
+
+
+def _no_trials(*args, **kwargs):
+    raise AssertionError("a trial ran before the config was checked")
+
+
+# Values a simulator takes once per run; each is checked before any trial.
+@pytest.mark.parametrize("command, message, cfg", [
+    ("sim-vlf", "gamma_nats=-1", dict(SF_CFG, gamma_nats=-1)),
+    ("sim-vlf", "gamma_nats=0", dict(SF_CFG, gamma_nats=0)),
+    ("sim-vlf", "gamma_nats=inf", dict(SF_CFG, gamma_nats=float("inf"))),
+    ("sim-vlf", "gamma_nats=nan", dict(SF_CFG, gamma_nats=float("nan"))),
+    ("sim-vlf", "mode='bogus'", dict(SF_CFG, mode="bogus")),
+    ("sim-vlft", "decode_rule='bogus'", dict(SIMULATED["vlft"], decode_rule="bogus")),
+    ("sim-jscc", "mode='bogus'", dict(EXCESS_CFG, mode="bogus")),
+    ("sim-jscc", "k=0", dict(EXCESS_CFG, k=0)),
+    ("sim-jscc", "eps=0.1 must exceed 1/sqrt", {key: v for key, v in EXCESS_CFG.items()
+                                               if key != "split"}),
+    ("sim-jscc", "M=0", dict(SIMULATED["jscc_average"], M=0)),
+    ("sim-jscc", "M=1048577", dict(SIMULATED["jscc_average"], M=2 ** 20 + 1)),
+    ("sim-jscc", "k=5", dict(SIMULATED["jscc_guaranteed"], k=5)),
+    ("sim-energy", "N0=-1", dict(ENERGY_VL_CFG, N0=-1)),
+    ("sim-energy", "N0=0", dict(ENERGY_VL_CFG, N0=0)),
+])
+def test_simulator_domain_errors_are_config_errors_before_any_trial(tmp_path, monkeypatch,
+                                                                     command, message, cfg):
+    from jsccsim import harness, jscc
+
+    for module in (harness, jscc):
+        monkeypatch.setattr(module, "run_trials", _no_trials)
+    with pytest.raises(ConfigError, match=f"invalid field: {message}"):
+        run(cfg)
+    assert _exit_code(tmp_path, command, cfg) == 2

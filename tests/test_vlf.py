@@ -4,14 +4,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jsccsim import harness, vlf
 from jsccsim.channels import Dmc, bsc
 from jsccsim.info import LN2
-from jsccsim.rng import seed_stream
+from jsccsim.rng import seed_stream, trial_keys
 from jsccsim.vlf import (MessagePrior, geometric_prior,
-                         stop_feedback_length_bound, stop_feedback_transmit,
-                         stop_feedback_trial, thm1_length_bound,
-                         uniform_prior, vlf_converse_length, vlft_converse_length,
+                         stop_feedback_length_bound, stop_feedback_many,
+                         stop_feedback_transmit, stop_feedback_trial,
+                         thm1_length_bound, uniform_prior, vlf_converse_length,
+                         vlft_converse_length, vlft_many, vlft_sum_many,
                          vlft_sum_trial, vlft_transmit, vlft_trial)
 
 NOISELESS = Dmc([[1.0, 0.0], [0.0, 1.0]])
@@ -225,3 +229,78 @@ def test_full_decoder_support_cap():
     big = uniform_prior(2 ** 20 + 1)
     with pytest.raises(ValueError):
         vlft_transmit(ch, big, 0, seed_stream(0, 0))
+
+
+# The channels and prior of the per-trial transcripts in tests/golden/regen.py:
+# a binary-input channel and a 3x3 DMC whose symbols take the searchsorted path.
+CHANNELS = {"bsc": bsc(0.11),
+            "dmc3": Dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]])}
+PRIOR7 = MessagePrior([0.4, 0.2, 0.15, 0.1, 0.07, 0.05, 0.03])
+GAMMA = float(np.log(100))
+# 45 and 300 cut the second and fourth blocks of the 32, 64, 128, ... schedule
+KINDS = ["full_decoder", "true_path", "map_stop", "first_dominance", "largest_at_stop",
+         "sum_45", "sum_300"]
+
+
+def _batch_rows(kind, dmc, keys):
+    """Rows of one batch of the block kernel, as Python scalars."""
+    w = PRIOR7.sample_many(keys)
+    if kind.startswith("sum_"):
+        cols = vlft_sum_many(dmc, PRIOR7, keys, w, int(kind[4:]))
+    elif kind in vlf.STOP_FEEDBACK_MODES:
+        cols = stop_feedback_many(dmc, PRIOR7, GAMMA, kind, keys, w)
+    else:
+        cols = vlft_many(dmc, PRIOR7, keys, w, kind)
+    return [tuple(c.item() for c in row) for row in zip(w, *cols)]
+
+
+def _single_row(kind, dmc, rng):
+    """The same row from the batch-of-one wrapper of one trial."""
+    if kind.startswith("sum_"):
+        w = PRIOR7.sample(seed_stream(rng.master_seed, rng.stream_id))
+        return (w, *vlft_sum_trial(dmc, PRIOR7, rng, int(kind[4:])))
+    if kind in vlf.STOP_FEEDBACK_MODES:
+        tr = stop_feedback_trial(dmc, PRIOR7, GAMMA, kind, rng)
+    else:
+        tr = vlft_trial(dmc, PRIOR7, rng, kind)
+    decoded = tr.true_message if tr.decoded is None else tr.decoded
+    return tr.true_message, tr.tau, decoded, tr.error, tr.info_sum
+
+
+def _rows_by_shard(kind, dmc, seed, trials, cuts):
+    bounds = [0, *sorted({c % trials for c in cuts} - {0}), trials]
+    rows = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows += _batch_rows(kind, dmc, trial_keys(seed, np.arange(lo, hi)))
+    return rows
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(KINDS), st.sampled_from(list(CHANNELS)),
+       st.integers(0, 2 ** 64 - 1), st.integers(1, 40),
+       st.lists(st.integers(0, 2 ** 16), max_size=4))
+def test_kernel_rows_equal_batch_of_one_rows(kind, channel, seed, trials, cuts):
+    dmc = CHANNELS[channel]
+    want = [_single_row(kind, dmc, seed_stream(seed, t)) for t in range(trials)]
+    assert repr(_rows_by_shard(kind, dmc, seed, trials, cuts)) == repr(want)
+
+
+def test_one_trial_steps_give_the_same_records(monkeypatch):
+    """With the working-set cap at one cell every batch and block step holds
+    a single trial; no record may change."""
+    bsc11 = {"kind": "bsc", "delta": 0.11}
+    configs = [
+        {"kind": "stop_feedback", "channel": bsc11, "prior": {"kind": "geometric", "q": 0.6},
+         "gamma_nats": GAMMA, "trials": 1000, "seed": 5},
+        {"kind": "stop_feedback", "channel": bsc11, "prior": {"kind": "uniform", "M": 16},
+         "gamma_nats": GAMMA, "mode": "true_path", "trials": 1000, "seed": 6},
+        {"kind": "vlft", "channel": bsc11, "prior": {"kind": "uniform", "M": 8},
+         "decode_rule": "first_dominance", "trials": 1000, "seed": 7},
+        {"kind": "jscc_guaranteed", "channel": bsc11, "source": {"kind": "bernoulli", "p": 0.5},
+         "k": 2, "d": 0.5, "trials": 200, "seed": 8},
+    ]
+    want = [harness.run(dict(cfg), workers=2).stripped() for cfg in configs]
+    want_sum = vlf.vlft_length_via_sum(CHANNELS["dmc3"], PRIOR7, 9, 300, n_max=300)
+    monkeypatch.setattr(vlf, "_CELLS", 1)
+    assert [harness.run(dict(cfg)).stripped() for cfg in configs] == want
+    assert vlf.vlft_length_via_sum(CHANNELS["dmc3"], PRIOR7, 9, 300, n_max=300) == want_sum
