@@ -66,26 +66,30 @@ def _stream_uniforms(key, start: int, n: int) -> np.ndarray:
                       inplace=True))
 
 
+def _inner(word: int) -> int:
+    """The word half of ``_fold``, on Python ints."""
+    return (_mix_int((word + _GOLDEN_INT) & _MASK64) + _GOLDEN_INT) & _MASK64
+
+
 def _fold(key: int, word) -> int:
     """Key of the sub-stream ``word`` of ``key``; word must lie in [0, 2^64)."""
     word = int(word)
     if not 0 <= word <= _MASK64:
         raise OverflowError(f"stream word {word} out of bounds for uint64")
-    inner = (_mix_int((word + _GOLDEN_INT) & _MASK64) + _GOLDEN_INT) & _MASK64
-    return _mix_int(key ^ inner)
+    return _mix_int(key ^ _inner(word))
 
 
-def fold_keys(keys, word) -> np.ndarray:
-    """``_fold`` over arrays: the keys of sub-stream ``word`` of ``keys``, with
-    keys and words broadcast as uint64."""
-    with np.errstate(over="ignore"):
-        inner = _mix(np.asarray(word, dtype=np.uint64) + _GOLDEN, inplace=True) + _GOLDEN
-        return _mix(np.asarray(keys, dtype=np.uint64) ^ inner, inplace=True)
+def fold_keys(keys, word: int) -> np.ndarray:
+    """``_fold(key, word)`` for every key of the uint64 array ``keys``."""
+    return _mix(np.asarray(keys, dtype=np.uint64) ^ _U64(_inner(word)), inplace=True)
 
 
 def trial_keys(master_seed: int, ids) -> np.ndarray:
-    """``seed_stream(master_seed, t).key`` for every trial id t of ``ids``."""
-    return fold_keys(_fold(_GOLDEN_INT, master_seed), ids)
+    """``seed_stream(master_seed, t).key`` for every trial id t of ``ids``: the
+    vector form of ``_fold`` over the words ``ids``."""
+    with np.errstate(over="ignore"):
+        inner = _mix(np.asarray(ids, dtype=np.uint64) + _GOLDEN, inplace=True) + _GOLDEN
+    return _mix(inner ^ _U64(_fold(_GOLDEN_INT, master_seed)), inplace=True)
 
 
 def keyed_uniforms_2d(key, rows, col_start, cols):

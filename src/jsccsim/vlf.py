@@ -143,6 +143,11 @@ class Transcript:
     tail_mass: float = 0.0
 
 
+def _batch_trials(rows: int) -> int:
+    """Trials per batch of the kernel: a (trial, row) state of at most _CELLS."""
+    return max(1, _CELLS // rows)
+
+
 def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarray,
                   block: int, stop, ids: np.ndarray, n_max: int | None = None):
     """Advance the running information-density sums of the trials ``ids``
@@ -166,7 +171,7 @@ def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarra
     """
     R = rows.shape[-1]
     cb_keys, noise_keys = fold_keys(keys, 1), fold_keys(keys, 2)
-    batch = max(1, _CELLS // R)
+    batch = _batch_trials(R)
     for lo in range(0, ids.size, batch):
         batch_ids = ids[lo:lo + batch]
         carry = np.zeros((batch_ids.size, R))
@@ -359,7 +364,7 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
         decoded[at0] = np.argmax(dom0)
         first_dom0 = np.where(dom0, 0, -1)
         # first prefix-dominance time of each row, per position of a batch
-        first_dom = np.empty((min(w.size, max(1, _CELLS // M)), M), np.int64)
+        first_dom = np.empty((min(w.size, _batch_trials(M)), M), np.int64)
     elif decode_rule == "largest_at_stop":
         decoded[at0] = M - 1 - np.argmax(dom0[::-1])
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jsccsim.rng import (_GOLDEN, RngStream, _fold, _mix, _mix_int, keyed_uniforms_2d,
-                         seed_stream)
+from jsccsim.rng import (_GOLDEN, RngStream, _fold, _mix, _mix_int, fold_keys,
+                         keyed_uniforms_2d, seed_stream, trial_keys)
 
 U64 = st.integers(0, 2 ** 64 - 1)
 
@@ -97,6 +97,14 @@ def test_int_mix_matches_numpy_mix(z):
 @given(U64, U64)
 def test_int_fold_matches_numpy_fold(key, word):
     assert _fold(key, word) == _fold_oracle(key, word)
+
+
+@settings(deadline=None)
+@given(U64, st.lists(U64, min_size=1, max_size=8), U64)
+def test_vector_folds_match_int_fold(seed, ids, tag):
+    keys = trial_keys(seed, ids)
+    assert keys.tolist() == [seed_stream(seed, t).key for t in ids]
+    assert fold_keys(keys, tag).tolist() == [_fold(key, tag) for key in keys.tolist()]
 
 
 @settings(deadline=None)
