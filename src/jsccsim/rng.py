@@ -29,17 +29,20 @@ _INV53 = 2.0 ** -53
 
 def _mix(z, inplace: bool = False):
     """Stafford variant 13 of the splitmix64 finalizer (vectorized).  With
-    ``inplace`` a uint64 array z is overwritten instead of copied."""
-    with np.errstate(over="ignore"):
-        z = np.asarray(z, dtype=np.uint64) if inplace else np.array(z, dtype=np.uint64)
-        t = np.empty_like(z)
-        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-            np.right_shift(z, _U64(shift), out=t)
-            z ^= t
-            z *= _U64(mult)
-        np.right_shift(z, _U64(31), out=t)
+    ``inplace`` a uint64 array z is overwritten instead of copied.
+
+    z is made an array first: uint64 array arithmetic, 0-d included, wraps
+    modulo 2^64 without the overflow warning of numpy scalar arithmetic.
+    """
+    z = np.asarray(z, dtype=np.uint64) if inplace else np.array(z, dtype=np.uint64)
+    t = np.empty_like(z)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, _U64(shift), out=t)
         z ^= t
-        return z
+        z *= _U64(mult)
+    np.right_shift(z, _U64(31), out=t)
+    z ^= t
+    return z
 
 
 def _mix_int(z: int) -> int:
@@ -87,8 +90,8 @@ def fold_keys(keys, word: int) -> np.ndarray:
 def trial_keys(master_seed: int, ids) -> np.ndarray:
     """``seed_stream(master_seed, t).key`` for every trial id t of ``ids``: the
     vector form of ``_fold`` over the words ``ids``."""
-    with np.errstate(over="ignore"):
-        inner = _mix(np.asarray(ids, dtype=np.uint64) + _GOLDEN, inplace=True) + _GOLDEN
+    inner = _mix(np.asarray(ids, dtype=np.uint64) + _GOLDEN, inplace=True)
+    inner += _GOLDEN
     return _mix(inner ^ _U64(_fold(_GOLDEN_INT, master_seed)), inplace=True)
 
 
