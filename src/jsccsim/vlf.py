@@ -20,7 +20,6 @@ and the ``*_trial`` draws) are batches of one.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -285,7 +284,7 @@ def stop_feedback_many(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
 
     # first block sized near the expected stopping time to minimize wasted work
     expect = (prior.entropy + gamma + dmc.a0) / dmc.C
-    block0 = min(max(32 * math.ceil(1.25 * expect / 32), _BLOCK0), _BLOCK_MAX)
+    block0 = int(np.clip(32 * np.ceil(1.25 * expect / 32), _BLOCK0, _BLOCK_MAX))
     _running_sums(dmc, keys, rows, w if full else np.zeros_like(w), block0, stop,
                   np.arange(w.size))
     error = (decoded != w).astype(np.float64) if full else np.full(w.size, np.exp(-gamma))
