@@ -79,7 +79,9 @@ def _fold(key: int, word) -> int:
     word = int(word)
     if not 0 <= word <= _MASK64:
         raise OverflowError(f"stream word {word} out of bounds for uint64")
-    return _mix_int(key ^ _inner(word))
+    # _inner(word) written out: seed_stream folds twice per trial
+    inner = (_mix_int((word + _GOLDEN_INT) & _MASK64) + _GOLDEN_INT) & _MASK64
+    return _mix_int(key ^ inner)
 
 
 def fold_keys(keys, word: int) -> np.ndarray:
@@ -181,7 +183,7 @@ def run_trials(fn, trials: int, workers: int = 1) -> np.ndarray:
 
 def per_trial(one):
     """Shard function of ``run_trials`` that calls one(trial_id) per trial."""
-    return lambda ids: [one(t) for t in ids.tolist()]
+    return lambda ids: list(map(one, ids.tolist()))
 
 
 def half_width(x: np.ndarray) -> float:
