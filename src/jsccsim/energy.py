@@ -17,10 +17,12 @@ from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .info import LN2, lattice_convolution, normal_tail_inv
-from .jscc import analytic_miss, dball_encode, lossy_trial, type_ball_probs
+from .jscc import (LossyCodebook, analytic_miss, dball_encode, source_blocks,
+                   type_ball_probs)
 from .ratedist import (RdSolution, ba_rate_distortion, d_min_max, tilted_information,
                        zero_rate_solution)
-from .rng import RngStream, half_width, per_trial, run_trials, seed_stream
+from .rng import (RngStream, _stream_uniforms, fold_keys, half_width, run_trials,
+                  seed_stream)
 from .vlf import MessagePrior
 
 
@@ -151,23 +153,24 @@ class SequentialBitTransmitter:
         return (1 if llr > 0 else 0), self.delta, energy
 
 
-def vl_feedback_energy_trial(prior: MessagePrior, transmitter, rng: RngStream,
-                             codewords=None):
-    """Huffman-encode one message and push its bits through the transmitter.
-
-    Returns (correct flag, total energy, number of bits).
-    """
-    if codewords is None:
-        codewords = huffman_code(prior)
-    word = codewords[prior.sample(rng)]
+def send_word(word: str, transmitter, rng: RngStream):
+    """Push the bits of one codeword through the transmitter: (correct flag,
+    total energy, number of bits)."""
     energy = 0.0
     received = []
     for ch in word:
         bit, _, e = transmitter.send(int(ch), rng)
         received.append(str(bit))
         energy += e
-    correct = "".join(received) == word
-    return correct, energy, len(word)
+    return "".join(received) == word, energy, len(word)
+
+
+def vl_feedback_energy_trial(prior: MessagePrior, transmitter, rng: RngStream,
+                             codewords=None):
+    """Huffman-encode one message of the prior and ``send_word`` it."""
+    if codewords is None:
+        codewords = huffman_code(prior)
+    return send_word(codewords[prior.sample(rng)], transmitter, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +319,30 @@ def lossy_energy_error_bound(src, k: int, d: float, M: int,
     pmf_cum = np.cumsum(src.pmf)
     dm = src.distortion
 
-    def trial(t):
-        rng, s, cb = lossy_trial(master_seed, t, pmf_cum, k, M, rd.output_pmf)
+    def trial(key, s, cb):
+        # the normals are the stream's values after the source block
         w0, hit = dball_encode(s, cb, d, dm)
         W = w0 + 1  # 1-based index, most likely first
         ell = int(np.floor(np.log2(W)))
         # header PPM decision among L messages at energy E2
-        zh = rng.normals(L) * sd
+        zh = ndtri(_stream_uniforms(key, k, L)) * sd
         zh[ell] += np.sqrt(E2)
         if int(np.argmax(zh)) != ell:
-            return (1.0,)
+            return 1.0
         # payload ML among the 2^ell-sized length group at energy E1
         lo = 2 ** ell
         hi = min(2 ** (ell + 1) - 1, M)
-        zp = rng.normals(hi - lo + 1) * sd
+        zp = ndtri(_stream_uniforms(key, k + L, hi - lo + 1)) * sd
         zp[W - lo] += np.sqrt(E1)
         z = cb.chunk(lo + int(np.argmax(zp)) - 1, 1)[0]
-        return (float((not hit) or dm[s, z].mean() > d + 1e-12),)
+        return float((not hit) or dm[s, z].mean() > d + 1e-12)
 
-    fails = run_trials(per_trial(trial), trials)[:, 0]
+    def shard(ids):
+        keys, S = source_blocks(master_seed, ids, pmf_cum, k)
+        return [trial(key, s, LossyCodebook(cb_key, k, M, rd.output_pmf))
+                for key, s, cb_key in zip(keys.tolist(), S, fold_keys(keys, 3).tolist())]
+
+    fails = run_trials(shard, trials)[:, 0]
     return bound, float(fails.mean()), half_width(fails)
 
 
@@ -362,6 +370,8 @@ def awgn_jscc_converse(rd: RdSolution, k: int, E: float, N0: float,
     ||x||^2 <= E sits at E itself.  Exact convolution for discrete sources,
     quadrature over the chi-square energy statistic for Gaussian ones.
     """
+    if not (E >= 0 and N0 > 0):
+        raise ValueError(f"need E >= 0 and N0 > 0, got E={E}, N0={N0}")
     mu = E / N0
     sig = np.sqrt(max(2.0 * E / N0, 0.0))
 

@@ -19,13 +19,13 @@ import numpy as np
 from .channels import Dmc, bec, bsc
 from .energy import (PPM_MAX_M, IdealBitTransmitter, awgn_jscc_converse,
                      energy_expansion, huffman_code, ppm_error_prob, ppm_trials,
-                     sk_mse_batch, vl_feedback_energy_trial)
+                     send_word, sk_mse_batch)
 from .info import LN2
 from .jscc import (MATERIALIZE_MAX, average_codebook_size, naive_separation_bound,
                    simulate_average, simulate_excess, simulate_guaranteed)
 from .ratedist import (ba_rate_distortion, bernoulli_hamming, discrete_source,
                        gaussian_source, source_expansion)
-from .rng import half_width, per_trial, run_trials, seed_stream, trial_keys
+from .rng import half_width, run_trials, seed_stream, trial_keys
 from .vlf import (FULL_DECODER_MAX_SUPPORT, STOP_FEEDBACK_MODES, VLFT_DECODE_RULES,
                   MessagePrior, geometric_prior, stop_feedback_length_bound,
                   stop_feedback_many, uniform_prior, vlf_converse_length,
@@ -257,13 +257,25 @@ def _run_vlft(cfg, workers):
     return RunRecord(cfg["kind"], cfg, metrics, bounds, violations)
 
 
+def _split(cfg) -> tuple:
+    """The (source, channel) error budget of jscc_excess: two finite numbers > 0."""
+    raw = cfg["split"]
+    try:
+        split = tuple(float(x) for x in raw)
+    except (TypeError, ValueError):
+        split = ()
+    if len(split) != 2 or not all(0 < x < np.inf for x in split):
+        raise ConfigError(f"invalid field: split={raw!r} must be two finite numbers > 0")
+    return split
+
+
 def _run_jscc_excess(cfg, workers):
     dmc = _simulated_channel(cfg)
     k, d, eps = _block_length(cfg), float(_need(cfg, "d")), float(_need(cfg, "eps"))
     if not 0 < eps < 1:
         raise ConfigError(f"invalid field: eps={eps} must lie in (0, 1)")
     rd = _rd(cfg)
-    split = tuple(cfg["split"]) if "split" in cfg else None
+    split = _split(cfg) if "split" in cfg else None
     if split is None and eps <= 1 / np.sqrt(k):
         raise ConfigError(f"invalid field: eps={eps} must exceed 1/sqrt(k)={1 / np.sqrt(k):.4g} "
                           "unless a split is given")
@@ -288,6 +300,9 @@ def _run_jscc_excess(cfg, workers):
 def _run_jscc_average(cfg, workers):
     dmc = _simulated_channel(cfg)
     rd = _rd(cfg)
+    if rd.source.unbounded_distortion:
+        raise ConfigError("invalid field: source has unbounded distortion; "
+                          "jscc_average needs a bounded one")
     k, d = _block_length(cfg), float(cfg["d"])
     given = cfg.get("M") is not None
     M = cfg["M"] if given else average_codebook_size(k, rd)
@@ -343,16 +358,14 @@ def _run_sk(cfg, workers):
 def _run_energy_vl(cfg, workers):
     prior = _model(cfg, "prior")
     N0 = _positive(cfg, "N0", 2.0)
+    # the ideal transmitter draws nothing, so a trial's (correct, energy,
+    # bits) row is its message's row of this table
     tx = IdealBitTransmitter(N0)
-    words = huffman_code(prior)
+    table = np.array([send_word(word, tx, None) for word in huffman_code(prior)],
+                     dtype=np.float64)
     seed = cfg["seed"]
-
-    def one(t):
-        ok, e, nb = vl_feedback_energy_trial(prior, tx, seed_stream(seed, t),
-                                             codewords=words)
-        return float(ok), e, float(nb)
-
-    rows = run_trials(per_trial(one), cfg["trials"], workers)
+    rows = run_trials(lambda ids: table[prior.sample_many(trial_keys(seed, ids))],
+                      cfg["trials"], workers)
     metrics = {"correct": _stat(rows[:, 0]), "energy": _stat(rows[:, 1]),
                "bits": _stat(rows[:, 2])}
     bounds = {"energy_bound": N0 * LN2 * (prior.entropy / LN2 + 1.0),
@@ -382,47 +395,62 @@ def _run_ppm(cfg, workers):
                      {"quadrature": bound}, violations)
 
 
+def _k_d_eps(cfg):
+    return _block_length(cfg), float(_need(cfg, "d")), float(_need(cfg, "eps"))
+
+
+def _capacity(cfg):
+    dmc = _model(cfg, "channel")
+    return {"capacity_nats": dmc.C, "a0_nats": dmc.a0}
+
+
+def _rd_bound(cfg):
+    rd = _rd(cfg)
+    return {"rate_nats": rd.rate, "slope": rd.slope, "dispersion_nats2": rd.dispersion}
+
+
+def _converse_lengths(cfg):
+    args = (*_k_d_eps(cfg), _rd(cfg), _model(cfg, "channel").C)
+    return {"vlf_length": vlf_converse_length(*args),
+            "vlft_length": vlft_converse_length(*args)}
+
+
+# Bound ``which`` -> (evaluator(cfg) -> {metric: value}, the fields it reads).
+_BOUNDS = {
+    "capacity": (_capacity, ("channel",)),
+    "rd": (_rd_bound, ("source", "d")),
+    "expansion": (lambda cfg: {"rate_expansion_nats": source_expansion(*_k_d_eps(cfg),
+                                                                       _rd(cfg))},
+                  ("k", "d", "eps")),
+    "naive_separation": (lambda cfg: {"length": naive_separation_bound(
+                             *_k_d_eps(cfg), _model(cfg, "channel").C, _rd(cfg))},
+                         ("channel", "k", "d", "eps")),
+    "converse_length": (_converse_lengths, ("channel", "k", "d", "eps")),
+    "energy_expansion": (lambda cfg: {"energy_nats": energy_expansion(
+                             _need(cfg, "expansion_kind", "bound."), _block_length(cfg),
+                             _rd(cfg) if "source" in cfg else None, cfg.get("eps"))},
+                         ("expansion_kind", "k", "eps", "source")),
+    "awgn_converse": (lambda cfg: {"eps_lower": awgn_jscc_converse(
+                          _rd(cfg), _block_length(cfg), float(_need(cfg, "E")),
+                          float(cfg.get("N0", 2.0)), cfg.get("gamma"))},
+                      ("k", "E", "N0", "gamma")),
+}
+
+
 def _run_bound(cfg, workers):
-    """Pure evaluators: capacity, rate-distortion, expansions, converses."""
+    """Pure evaluators: capacity, rate-distortion, expansions, converses.  An
+    evaluator's ValueError or TypeError becomes a ConfigError naming the
+    fields of its ``_BOUNDS`` entry."""
     which = _need(cfg, "which", "bound.")
-    out = {}
-    if which == "capacity":
-        dmc = _model(cfg, "channel")
-        out = {"capacity_nats": dmc.C, "a0_nats": dmc.a0}
-    elif which == "rd":
-        rd = _rd(cfg)
-        out = {"rate_nats": rd.rate, "slope": rd.slope,
-               "dispersion_nats2": rd.dispersion}
-    elif which == "expansion":
-        rd = _rd(cfg)
-        out = {"rate_expansion_nats": source_expansion(
-            int(_need(cfg, "k")), float(cfg["d"]), float(_need(cfg, "eps")), rd)}
-    elif which == "naive_separation":
-        dmc = _model(cfg, "channel")
-        rd = _rd(cfg)
-        out = {"length": naive_separation_bound(
-            int(_need(cfg, "k")), float(cfg["d"]), float(_need(cfg, "eps")),
-            dmc.C, rd)}
-    elif which == "converse_length":
-        dmc = _model(cfg, "channel")
-        rd = _rd(cfg)
-        k, d, eps = int(_need(cfg, "k")), float(cfg["d"]), float(_need(cfg, "eps"))
-        out = {"vlf_length": vlf_converse_length(k, d, eps, rd, dmc.C),
-               "vlft_length": vlft_converse_length(k, d, eps, rd, dmc.C)}
-    elif which == "energy_expansion":
-        rd = None
-        if "source" in cfg:
-            rd = _rd(cfg)
-        out = {"energy_nats": energy_expansion(
-            _need(cfg, "expansion_kind", "bound."), int(_need(cfg, "k")),
-            rd, cfg.get("eps"))}
-    elif which == "awgn_converse":
-        rd = _rd(cfg)
-        out = {"eps_lower": awgn_jscc_converse(
-            rd, int(_need(cfg, "k")), float(_need(cfg, "E")),
-            float(cfg.get("N0", 2.0)), cfg.get("gamma"))}
-    else:
+    if which not in _BOUNDS:
         raise ConfigError(f"unknown bound: which={which!r}")
+    evaluate, fields = _BOUNDS[which]
+    try:
+        out = evaluate(cfg)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid field: {', '.join(fields)}: {exc}") from exc
     metrics = {name: {"estimate": float(v), "half_width": 0.0, "n": 0}
                for name, v in out.items()}
     return RunRecord(cfg["kind"], cfg, metrics)

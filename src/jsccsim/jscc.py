@@ -7,6 +7,8 @@ i.i.d. from the rate-distortion-achieving output marginal, encoder emits the
 first d-close index.  The resulting index distribution (a mixture of
 geometrics over source types) is computed analytically and used as the
 channel code's message prior.
+A pipeline's shard of trials draws its keys and source blocks at once
+(``source_blocks``), then runs the source coder and the channel code.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 from .channels import Dmc
 from .info import lattice_convolution, normal_tail_inv
 from .ratedist import RdSolution, brute_force_deps_entropy, source_expansion
-from .rng import RngStream, half_width, keyed_uniforms_2d, run_trials, seed_stream
+from .rng import (_stream_uniforms, fold_keys, half_width, keyed_uniforms_2d, run_trials,
+                  trial_keys)
 from .vlf import FULL_DECODER_MAX_SUPPORT, MessagePrior, stop_feedback_many, vlft_many
 
 _ENCODE_CHUNK = 4096
@@ -166,20 +169,12 @@ class PipelineStats:
     config: dict = field(default_factory=dict)
 
 
-def _sample_block(pmf_cum: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
-    return np.searchsorted(pmf_cum, rng.uniforms(k), side="right")
-
-
-def lossy_trial(master_seed: int, t: int, pmf_cum: np.ndarray, k: int, M: int,
-                output_pmf: np.ndarray):
-    """Trial t's stream, its source block and its random lossy codebook.
-
-    The codebook is keyed by sub-stream 3 of the trial; the channel code that
-    follows takes sub-stream 4.
-    """
-    rng = seed_stream(master_seed, t)
-    s = _sample_block(pmf_cum, k, rng)
-    return rng, s, LossyCodebook(rng.derive(3).key, k, M, output_pmf)
+def source_blocks(master_seed: int, ids, pmf_cum: np.ndarray, k: int):
+    """(stream keys, source blocks) of the trials ``ids``, one row each.  A
+    block is counters [0, k) of its trial's stream; the trial's lossy codebook
+    takes sub-stream 3 (``fold_keys(keys, 3)``) and its channel code 4."""
+    keys = trial_keys(master_seed, ids)
+    return keys, np.searchsorted(pmf_cum, _stream_uniforms(keys, 0, k), side="right")
 
 
 def _distortion(dm: np.ndarray, s: np.ndarray, cb: LossyCodebook, index: int) -> float:
@@ -225,19 +220,16 @@ def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
     dm = rd.source.distortion
 
     def shard(ids):
-        # per-trial source step, then the shard's channel trials in one batch
-        enc = []
-        for t in ids.tolist():
-            rng, s, cb = lossy_trial(master_seed, t, pmf_cum, k, M, rd.output_pmf)
-            enc.append((rng.derive(4).key, s, cb, *dball_encode(s, cb, d, dm)))
-        keys, sources, cbs, ws, hits = zip(*enc)
+        # the source coder runs per trial, the channel code on the whole shard
+        keys, S = source_blocks(master_seed, ids, pmf_cum, k)
+        cbs = [LossyCodebook(key, k, M, rd.output_pmf) for key in fold_keys(keys, 3).tolist()]
+        ws, hits = np.array([dball_encode(s, cb, d, dm) for s, cb in zip(S, cbs)]).T
         # in true_path mode the batch decodes w itself
-        taus, decoded, _, _ = stop_feedback_many(dmc, prior, gamma, mode, keys, ws)
-        rows = []
-        for tau, s, cb, hit, dec in zip(taus.tolist(), sources, cbs, hits, decoded.tolist()):
-            dist = _distortion(dm, s, cb, dec)
-            rows.append((tau, float((not hit) or dist > d + 1e-12), dist))
-        return rows
+        taus, decoded, _, _ = stop_feedback_many(dmc, prior, gamma, mode, fold_keys(keys, 4),
+                                                 ws)
+        dists = np.array([_distortion(dm, s, cb, dec)
+                          for s, cb, dec in zip(S, cbs, decoded.tolist())])
+        return np.column_stack((taus, (hits == 0) | (dists > d + 1e-12), dists))
 
     taus, fails, dists = run_trials(shard, trials, workers).T
     failure = fails.mean()
@@ -282,18 +274,16 @@ def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
     dm = rd.source.distortion
 
     def shard(ids):
-        enc = []
-        for t in ids.tolist():
-            rng, s, cb = lossy_trial(master_seed, t, pmf_cum, k, M, rd.output_pmf)
-            # keep a lazy copy: the shard's materialized codebooks would pile up
-            enc.append((rng.derive(4).key, s, LossyCodebook(cb.key, k, M, rd.output_pmf),
-                        min_distortion_encode(s, cb, dm)))
-        keys, sources, cbs, ws = zip(*enc)
+        keys, S = source_blocks(master_seed, ids, pmf_cum, k)
+        cbs = [LossyCodebook(key, k, M, rd.output_pmf) for key in fold_keys(keys, 3).tolist()]
+        # encode on a materialized copy: the shard's would pile up if kept
+        ws = np.array([min_distortion_encode(s, LossyCodebook(cb.key, k, M, rd.output_pmf),
+                                             dm) for s, cb in zip(S, cbs)])
         taus, decoded, errs, _ = stop_feedback_many(dmc, prior, gamma, "full_decoder",
-                                                    keys, ws)
-        return [(tau, err, _distortion(dm, s, cb, dec), _distortion(dm, s, cb, w))
-                for tau, err, s, cb, dec, w in zip(taus.tolist(), errs.tolist(), sources,
-                                                   cbs, decoded.tolist(), ws)]
+                                                    fold_keys(keys, 4), ws)
+        dists = [(_distortion(dm, s, cb, dec), _distortion(dm, s, cb, w))
+                 for s, cb, dec, w in zip(S, cbs, decoded.tolist(), ws.tolist())]
+        return np.column_stack((taus, errs, dists))
 
     taus, errs, dists, src_dists = run_trials(shard, trials, workers).T
     return PipelineStats(
@@ -340,15 +330,10 @@ def simulate_guaranteed(k: int, d: float, dmc: Dmc, rd, master_seed: int,
     dm = src.distortion
 
     def shard(ids):
-        enc = []
-        for t in ids.tolist():
-            rng = seed_stream(master_seed, t)
-            s = _sample_block(pmf_cum, k, rng)
-            enc.append((rng.derive(4).key, s, int(w_of_block[int(np.dot(s, digits))])))
-        keys, sources, ws = zip(*enc)
-        taus, decoded, _, _ = vlft_many(dmc, prior, keys, ws)
-        return [(tau, float(dm[s, cw_table[dec]].mean()) > d + 1e-12)
-                for tau, s, dec in zip(taus.tolist(), sources, decoded.tolist())]
+        keys, S = source_blocks(master_seed, ids, pmf_cum, k)
+        taus, decoded, _, _ = vlft_many(dmc, prior, fold_keys(keys, 4),
+                                        w_of_block[S @ digits])
+        return np.column_stack((taus, dm[S, cw_table[decoded]].mean(axis=1) > d + 1e-12))
 
     taus, violated = run_trials(shard, trials, workers).T
     violations = int(violated.sum())

@@ -6,11 +6,13 @@ trial can be replayed bit-exactly and trials can be dispatched to any number
 of workers without coordinating state.  The generator is a splitmix64-style
 counter hash: output i of a stream is finalize(key + i * GOLDEN).
 
-Stream keys are Python ints in [0, 2^64), and deriving a key, or drawing one
-value with ``RngStream.uniform``, runs the finalizer on Python ints masked to
-64 bits.  numpy is used where a call draws a vector of values, and where the
-keys of many trials are folded at once (``fold_keys``, ``trial_keys``); the
-int ``_fold`` is the oracle of that vector fold.
+The simulators draw the prelude of a shard of trials at once: the trial keys
+(``trial_keys``), their sub-stream keys (``fold_keys``) and the values at
+given counters of every key (``_stream_uniforms`` over an array of keys).
+``RngStream`` is the per-trial form of the same streams; its key is a Python
+int in [0, 2^64), and deriving a key, or drawing one value with
+``RngStream.uniform``, runs the finalizer on Python ints masked to 64 bits.
+The int ``_fold`` is the oracle of the vector fold.
 """
 
 from __future__ import annotations
@@ -167,9 +169,9 @@ def run_trials(fn, trials: int, workers: int = 1) -> np.ndarray:
     shards of range(trials), and stack the rows in trial-id order.
 
     There is one shard per worker; with more than one, the shards run on a
-    thread pool.  A trial that draws only from ``seed_stream(seed, trial_id)``
-    is a pure function of its id, so the rows, and every reduction over them,
-    are the same for any worker count.
+    thread pool.  A trial that draws only from its own stream (key
+    ``trial_keys(seed, [trial_id])``) is a pure function of its id, so the
+    rows, and every reduction over them, are the same for any worker count.
     """
     shards = np.array_split(np.arange(trials), max(1, min(workers, trials)))
     if len(shards) == 1:
@@ -179,11 +181,6 @@ def run_trials(fn, trials: int, workers: int = 1) -> np.ndarray:
             parts = list(pool.map(fn, shards))
     return np.concatenate([np.asarray(p, dtype=np.float64).reshape(len(ids), -1)
                            for p, ids in zip(parts, shards)])
-
-
-def per_trial(one):
-    """Shard function of ``run_trials`` that calls one(trial_id) per trial."""
-    return lambda ids: list(map(one, ids.tolist()))
 
 
 def half_width(x: np.ndarray) -> float:

@@ -12,10 +12,12 @@ arrays and retires each trial when a stopping rule says so: the threshold
 crossing of stop-feedback (``stop_feedback_many``), one of the three VLFT
 rules (``vlft_many``), or the ``n_max`` cut of the length sum
 (``vlft_sum_many``).  Trial keys come from ``rng.trial_keys``, a vectorised
-fold over trial ids, and all trials of a batch share one block schedule, so
-every trial's numbers are those it gets when run alone.  The per-trial
-functions (``stop_feedback_transmit``, ``vlft_transmit``, ``vlft_sum_trial``
-and the ``*_trial`` draws) are batches of one.
+fold over trial ids, messages from ``MessagePrior.sample_many``, and all
+trials of a batch share one block schedule, so every trial's numbers are
+those it gets when run alone.  The per-trial functions
+(``stop_feedback_transmit``, ``vlft_transmit``, ``vlft_sum_trial`` and the
+``*_trial`` draws) are batches of one; no simulator calls them, and they
+stay as the per-trial API of the tests and golden transcripts.
 """
 
 from __future__ import annotations

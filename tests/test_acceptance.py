@@ -30,9 +30,9 @@ from jsccsim.ratedist import (ba_rate_distortion, bernoulli_hamming,
                               brute_force_deps_entropy, discrete_source,
                               gaussian_source, rate_dispersion,
                               tilted_information)
-from jsccsim.rng import seed_stream
-from jsccsim.vlf import (geometric_prior, stop_feedback_trial, uniform_prior,
-                         vlft_length_via_sum, vlft_trial)
+from jsccsim.rng import seed_stream, trial_keys
+from jsccsim.vlf import (geometric_prior, stop_feedback_many, uniform_prior,
+                         vlft_length_via_sum, vlft_many)
 
 
 def h2(p):
@@ -103,13 +103,9 @@ def test_c02_tilted_information_identity_and_dispersion():
 
 def _stop_feedback_batch(prior, gamma, seed, trials):
     ch = bsc(0.11)
-    taus = np.empty(trials)
-    errs = np.empty(trials)
-    sums = np.empty(trials)
-    for t in range(trials):
-        tr = stop_feedback_trial(ch, prior, gamma, "full_decoder",
-                                 seed_stream(seed, t))
-        taus[t], errs[t], sums[t] = tr.tau, tr.error, tr.info_sum
+    keys = trial_keys(seed, np.arange(trials))
+    taus, _, errs, sums = stop_feedback_many(ch, prior, gamma, "full_decoder", keys,
+                                             prior.sample_many(keys))
     return ch, taus, errs, sums
 
 
@@ -142,13 +138,9 @@ def test_c03_stop_feedback_scheme_error_length_martingale():
 def _vlft_batch(M, seed, trials):
     ch = bsc(0.11)
     prior = uniform_prior(M)
-    taus = np.empty(trials)
-    nerr = 0
-    for t in range(trials):
-        tr = vlft_trial(ch, prior, seed_stream(seed, t))
-        taus[t] = tr.tau
-        nerr += int(tr.error != 0.0 or tr.anomaly)
-    return ch, prior, taus, nerr
+    keys = trial_keys(seed, np.arange(trials))
+    taus, _, errs, _ = vlft_many(ch, prior, keys, prior.sample_many(keys))
+    return ch, prior, taus, int(np.count_nonzero(errs))
 
 
 def test_c04_zero_error_termination_scheme():

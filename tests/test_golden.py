@@ -58,10 +58,11 @@ def test_golden_call(name):
     assert got == want, f"{name}: {got} != {want} ({_versions()})"
 
 
-# Every kind that shards its trials into kernel batches: three shards on three
+# Every kind that draws its trial preludes per shard: three shards on three
 # threads must give the serial record.
 @pytest.mark.parametrize("name", ["c11_jscc_excess", "jscc_average_k8_m64",
-                                  "c11_jscc_guaranteed", "c11_stop_feedback", "c11_vlft"]
+                                  "c11_jscc_guaranteed", "c11_stop_feedback", "c11_vlft",
+                                  "c11_energy_vl", "bench_awgn_energy_vl"]
                          + [name for name in RUNS if name.startswith("bench_small_m_")])
 def test_jscc_record_does_not_depend_on_worker_count(name):
     entry = RUNS[name]

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from jsccsim.cli import main as cli_main
-from jsccsim.harness import (ConfigError, emit, record_to_dict, run, sweep,
+from jsccsim.energy import IdealBitTransmitter, huffman_code, vl_feedback_energy_trial
+from jsccsim.harness import (ConfigError, _stat, emit, record_to_dict, run, sweep,
                              validate)
 from jsccsim.info import LN2
 from jsccsim.rng import seed_stream
+from jsccsim.vlf import MessagePrior, geometric_prior
 
 SF_CFG = {
     "kind": "stop_feedback",
@@ -307,6 +309,11 @@ def _no_trials(*args, **kwargs):
     ("sim-jscc", "M=0", dict(SIMULATED["jscc_average"], M=0)),
     ("sim-jscc", "M=1048577", dict(SIMULATED["jscc_average"], M=2 ** 20 + 1)),
     ("sim-jscc", "k=5", dict(SIMULATED["jscc_guaranteed"], k=5)),
+    ("sim-jscc", r"split=\[0\.0, 0\.1\]", dict(EXCESS_CFG, split=[0.0, 0.1])),
+    ("sim-jscc", r"split=\[0\.05\]", dict(EXCESS_CFG, split=[0.05])),
+    ("sim-jscc", "split='ab'", dict(EXCESS_CFG, split="ab")),
+    ("sim-jscc", "source has unbounded distortion",
+     dict(SIMULATED["jscc_average"], source={"kind": "gaussian", "variance": 1.0})),
     ("sim-energy", "N0=-1", dict(ENERGY_VL_CFG, N0=-1)),
     ("sim-energy", "N0=0", dict(ENERGY_VL_CFG, N0=0)),
 ])
@@ -319,3 +326,40 @@ def test_simulator_domain_errors_are_config_errors_before_any_trial(tmp_path, mo
     with pytest.raises(ConfigError, match=f"invalid field: {message}"):
         run(cfg)
     assert _exit_code(tmp_path, command, cfg) == 2
+
+
+BOUND_BASE = {"kind": "bound", "channel": BSC, "source": {"kind": "bernoulli", "p": 0.3},
+              "d": 0.1, "k": 10, "eps": 0.1, "E": 6.0}
+
+
+@pytest.mark.parametrize("message, cfg", [
+    ("k=0", dict(BOUND_BASE, which="expansion", k=0)),
+    ("k, d, eps: eps must be in", dict(BOUND_BASE, which="expansion", eps=1.5)),
+    ("channel, k, d, eps: eps must be in", dict(BOUND_BASE, which="naive_separation", eps=0)),
+    ("k=-3", dict(BOUND_BASE, which="converse_length", k=-3)),
+    ("expansion_kind, k, eps, source: eps",
+     dict(BOUND_BASE, which="energy_expansion", expansion_kind="excess_fb", eps=2)),
+    ("k='x'", dict(BOUND_BASE, which="awgn_converse", k="x")),
+    ("k, E, N0, gamma: need E >= 0", dict(BOUND_BASE, which="awgn_converse", E=-1)),
+    ("k=2.7", dict(BOUND_BASE, which="awgn_converse", k=2.7)),
+])
+def test_bound_domain_errors_are_config_errors_naming_the_fields(tmp_path, message, cfg):
+    with pytest.raises(ConfigError, match=f"invalid field: {message}"):
+        run(cfg)
+    assert _exit_code(tmp_path, "bound", cfg) == 2
+
+
+# Every Huffman word of a uniform M=256 prior has 8 bits; these priors have
+# words of several lengths, so a row taken for the wrong message shows.
+@pytest.mark.parametrize("prior, model", [
+    ({"kind": "geometric", "q": 0.7}, geometric_prior(0.7)),
+    ({"kind": "pmf", "pmf": [0.4, 0.2, 0.15, 0.1, 0.07, 0.05, 0.03]},
+     MessagePrior([0.4, 0.2, 0.15, 0.1, 0.07, 0.05, 0.03])),
+])
+def test_energy_vl_record_equals_its_per_trial_rows(prior, model):
+    cfg = dict(ENERGY_VL_CFG, prior=prior, N0=1.5, seed=21)
+    tx, words = IdealBitTransmitter(1.5), huffman_code(model)
+    rows = np.array([vl_feedback_energy_trial(model, tx, seed_stream(21, t), words)
+                     for t in range(cfg["trials"])], dtype=np.float64)
+    want = {name: _stat(rows[:, i]) for i, name in enumerate(("correct", "energy", "bits"))}
+    assert repr(run(cfg).metrics) == repr(want)

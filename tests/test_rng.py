@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jsccsim.rng import (_GOLDEN, RngStream, _fold, _mix, _mix_int, fold_keys,
-                         keyed_uniforms_2d, seed_stream, trial_keys)
+from jsccsim.rng import (_GOLDEN, RngStream, _fold, _mix, _mix_int, _stream_uniforms,
+                         fold_keys, keyed_uniforms_2d, seed_stream, trial_keys)
 
 U64 = st.integers(0, 2 ** 64 - 1)
 
@@ -105,6 +105,19 @@ def test_vector_folds_match_int_fold(seed, ids, tag):
     keys = trial_keys(seed, ids)
     assert keys.tolist() == [seed_stream(seed, t).key for t in ids]
     assert fold_keys(keys, tag).tolist() == [_fold(key, tag) for key in keys.tolist()]
+
+
+@settings(deadline=None)
+@given(U64, st.lists(U64, min_size=1, max_size=8), st.integers(0, 64), st.integers(0, 16))
+def test_keyed_rows_equal_the_draws_of_each_trial_stream(seed, ids, start, n):
+    """Row i of the uniforms of the trial keys is what trial ids[i]'s stream
+    draws after its first ``start`` values: the trial prelude of the
+    simulators reads its counters this way."""
+    rows = _stream_uniforms(trial_keys(seed, ids), start, n)
+    for row, t in zip(rows.tolist(), ids):
+        s = seed_stream(seed, t)
+        s.uniforms(start)
+        assert row == s.uniforms(n).tolist()
 
 
 @settings(deadline=None)
