@@ -276,7 +276,7 @@ def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
     def shard(ids):
         keys, S = source_blocks(master_seed, ids, pmf_cum, k)
         cbs = [LossyCodebook(key, k, M, rd.output_pmf) for key in fold_keys(keys, 3).tolist()]
-        # encode on a materialized copy: the shard's would pile up if kept
+        # encode on a throwaway materialized copy: kept, the shard's would pile up
         ws = np.array([min_distortion_encode(s, LossyCodebook(cb.key, k, M, rd.output_pmf),
                                              dm) for s, cb in zip(S, cbs)])
         taus, decoded, errs, _ = stop_feedback_many(dmc, prior, gamma, "full_decoder",
