@@ -15,12 +15,12 @@ BA_GAP_TOL = 1e-10
 BA_MAX_ITER = 100_000
 
 
-def ba_capacity(W: np.ndarray, gap_tol: float = BA_GAP_TOL, max_iter: int = BA_MAX_ITER):
+def ba_capacity(W: np.ndarray):
     """Blahut-Arimoto channel capacity.
 
     Returns (C nats, caid, caod, duality_gap).  Stops when the duality gap
-    max_x D(W(.|x) || q) - I(r; W) drops below gap_tol, so the returned C is
-    within gap_tol of the true capacity.
+    max_x D(W(.|x) || q) - I(r; W) drops below BA_GAP_TOL, so the returned C
+    is within BA_GAP_TOL of the true capacity.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or np.any(W < 0) or np.any(np.abs(W.sum(axis=1) - 1) > _ROW_TOL * W.shape[1]):
@@ -29,7 +29,7 @@ def ba_capacity(W: np.ndarray, gap_tol: float = BA_GAP_TOL, max_iter: int = BA_M
     r = np.full(na, 1.0 / na)
     logW = np.where(W > 0, np.log(np.where(W > 0, W, 1.0)), 0.0)
     gap = np.inf
-    for _ in range(max_iter):
+    for _ in range(BA_MAX_ITER):
         q = r @ W
         # D_x = sum_y W(y|x) log(W(y|x)/q(y)); q(y)=0 only where W(.|y) column
         # is unreachable, and those terms have W=0.
@@ -38,7 +38,7 @@ def ba_capacity(W: np.ndarray, gap_tol: float = BA_GAP_TOL, max_iter: int = BA_M
         D = np.einsum("xy,xy->x", W, logW - logq[None, :])
         I = float(r @ D)
         gap = float(D.max() - I)
-        if gap <= gap_tol:
+        if gap <= BA_GAP_TOL:
             break
         r = r * np.exp(D - D.max())
         r /= r.sum()
@@ -57,9 +57,9 @@ def max_log_ratio_a0(W: np.ndarray) -> float:
 class Dmc:
     """Finite discrete memoryless channel with cached capacity quantities."""
 
-    def __init__(self, W, gap_tol: float = BA_GAP_TOL):
+    def __init__(self, W):
         W = np.asarray(W, dtype=np.float64)
-        C, caid, caod, gap = ba_capacity(W, gap_tol=gap_tol)
+        C, caid, caod, gap = ba_capacity(W)
         self.W = W
         self.C = C
         self.caid = caid
@@ -72,16 +72,8 @@ class Dmc:
             self.log_density = np.log(W) - np.log(caod)[None, :]
         self.W_cum = np.cumsum(W, axis=1)
 
-    @property
-    def n_inputs(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.W.shape[1]
-
     def __repr__(self):
-        return f"Dmc({self.n_inputs}x{self.n_outputs}, C={self.C:.6f} nats)"
+        return f"Dmc({self.W.shape[0]}x{self.W.shape[1]}, C={self.C:.6f} nats)"
 
 
 def bsc(delta: float) -> Dmc:

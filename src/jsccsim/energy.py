@@ -19,8 +19,8 @@ from scipy.special import log_ndtr, ndtr, ndtri
 from .info import LN2, lattice_convolution, normal_tail_inv
 from .jscc import (LossyCodebook, analytic_miss, dball_encode, source_blocks,
                    type_ball_probs)
-from .ratedist import (RdSolution, ba_rate_distortion, d_min_max, tilted_information,
-                       zero_rate_solution)
+from .ratedist import (RdSolution, ba_rate_distortion, d_min_max, source_expansion,
+                       tilted_information, zero_rate_solution)
 from .rng import (RngStream, _stream_uniforms, fold_keys, half_width, run_trials,
                   seed_stream)
 from .vlf import MessagePrior
@@ -109,14 +109,6 @@ def huffman_code(prior: MessagePrior):
     return words
 
 
-def diagonal_slot(b: int, t: int) -> int:
-    """Channel slot used by the t-th transmission of bit number b when bit
-    streams are interleaved along diagonals; injective in (b, t)."""
-    if b < 1 or t < 1:
-        raise ValueError("bit and use indices start at 1")
-    return (b + t - 1) * (b + t - 2) // 2 + b
-
-
 class IdealBitTransmitter:
     """Oracle one-bit transmitter: zero error at exactly N0 ln2 energy."""
 
@@ -130,16 +122,17 @@ class IdealBitTransmitter:
 class SequentialBitTransmitter:
     """Antipodal sequential (SPRT-style) one-bit transmitter.
 
-    Repeats +/-a until the posterior log-likelihood ratio clears
-    ln((1-delta)/delta); residual error probability <= delta.  Its energy
-    exceeds the N0 ln2 ideal by a measurable gap (reported, not hidden).
+    Repeats +/-a at energy N0/4 per step until the posterior log-likelihood
+    ratio clears ln((1-delta)/delta); residual error probability <= delta =
+    1e-9.  Its energy exceeds the N0 ln2 ideal by a measurable gap (reported,
+    not hidden).
     """
 
-    def __init__(self, N0: float, delta: float = 1e-9, step_energy: float | None = None):
+    def __init__(self, N0: float):
         self.N0 = float(N0)
-        self.delta = float(delta)
-        self.step_energy = float(step_energy) if step_energy else 0.25 * self.N0
-        self.threshold = np.log((1 - delta) / delta)
+        self.delta = 1e-9
+        self.step_energy = 0.25 * self.N0
+        self.threshold = np.log((1 - self.delta) / self.delta)
         self.sd = _noise_sd(self.N0)
 
     def send(self, bit: int, rng: RngStream):
@@ -201,14 +194,13 @@ def ppm_error_prob(E: float, m: float, N0: float) -> float:
 PPM_MAX_M = 2 ** 16
 
 
-def ppm_trials(E: float, m: int, N0: float, trials: int, master_seed: int,
-               stream_id: int = 0) -> np.ndarray:
+def ppm_trials(E: float, m: int, N0: float, trials: int, master_seed: int) -> np.ndarray:
     """Monte-Carlo PPM error flags: true coordinate sqrt(E)+Z0 against the
     maximum of m-1 pure-noise coordinates."""
     if not 1 <= m <= PPM_MAX_M:
         raise ValueError(f"m={m} outside [1, {PPM_MAX_M}], the sizes whose "
                          "coordinates are materialized")
-    rng = seed_stream(master_seed, stream_id)
+    rng = seed_stream(master_seed, 0)
     sd = _noise_sd(N0)
     errs = np.empty(trials)
     chunk = max(1, min(trials, 2 ** 22 // max(m, 1)))
@@ -418,10 +410,7 @@ def energy_expansion(kind: str, k: int, rd: RdSolution | None = None,
         return k * R
     if kind == "excess_fb":
         _check_eps(eps)
-        if eps == 0:
-            return k * R
-        q = normal_tail_inv(eps)
-        return (1 - eps) * k * R - np.sqrt(k * V / (2 * np.pi)) * np.exp(-q * q / 2)
+        return source_expansion(k, rd.d, eps, rd)
     if kind == "excess_nofb":
         _check_eps(eps)
         return k * R + np.sqrt(k * (2 * R + V)) * normal_tail_inv(eps)

@@ -112,25 +112,27 @@ def _choice(cfg: dict, key: str, allowed: tuple):
     return value
 
 
-def _positive(cfg: dict, key: str, default=None) -> float:
-    """cfg[key] (or the default) as a float; it must be finite and > 0."""
+def _number(cfg: dict, key: str, default=None, positive: bool = False) -> float:
+    """cfg[key] (or the default): a finite number, and > 0 if ``positive``."""
     raw = _need(cfg, key) if default is None else cfg.get(key, default)
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
+        value = float("nan") if isinstance(raw, (bool, str)) else float(raw)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
         value = float("nan")
-    if not 0 < value < np.inf:
-        raise ConfigError(f"invalid field: {key}={raw!r} must be a finite number > 0")
+    if not (0 if positive else -np.inf) < value < np.inf:
+        raise ConfigError(f"invalid field: {key}={raw!r} must be a finite number"
+                          + (" > 0" if positive else ""))
     return value
 
 
-def _block_length(cfg: dict, most: int | None = None) -> int:
-    """The source block length k: an integer >= 1, and <= most if given."""
-    k = _need(cfg, "k")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1 or (most and k > most):
-        bounds = f"in [1, {most}]" if most else ">= 1"
-        raise ConfigError(f"invalid field: k={k!r} must be an integer {bounds}")
-    return k
+def _integer(cfg: dict, key: str, lo: int, hi: int | None = None) -> int:
+    """cfg[key]: an integer >= lo, and <= hi if given."""
+    raw = _need(cfg, key)
+    if (isinstance(raw, bool) or not isinstance(raw, int) or raw < lo
+            or (hi is not None and raw > hi)):
+        bounds = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise ConfigError(f"invalid field: {key}={raw!r} must be an integer {bounds}")
+    return raw
 
 
 def _decoder_prior(cfg: dict) -> MessagePrior:
@@ -183,7 +185,7 @@ def _stat(x: np.ndarray):
 def _rd(cfg: dict):
     """R(d) of the config's source at its d; a d outside the source's
     (d_min, d_max) is a ConfigError naming d."""
-    src, d = _model(cfg, "source"), float(_need(cfg, "d"))
+    src, d = _model(cfg, "source"), _number(cfg, "d")
     try:
         return ba_rate_distortion(src, d)
     except ValueError as exc:
@@ -205,7 +207,7 @@ def run(config: dict, workers: int = 1) -> RunRecord:
 
 def _run_stop_feedback(cfg, workers):
     dmc = _simulated_channel(cfg)
-    gamma = _positive(cfg, "gamma_nats")
+    gamma = _number(cfg, "gamma_nats", positive=True)
     mode = _choice(cfg, "mode", STOP_FEEDBACK_MODES)
     prior = _decoder_prior(cfg) if mode == "full_decoder" else _model(cfg, "prior")
     seed, trials = cfg["seed"], cfg["trials"]
@@ -271,7 +273,7 @@ def _split(cfg) -> tuple:
 
 def _run_jscc_excess(cfg, workers):
     dmc = _simulated_channel(cfg)
-    k, d, eps = _block_length(cfg), float(_need(cfg, "d")), float(_need(cfg, "eps"))
+    k, d, eps = _k_d_eps(cfg)
     if not 0 < eps < 1:
         raise ConfigError(f"invalid field: eps={eps} must lie in (0, 1)")
     rd = _rd(cfg)
@@ -303,14 +305,11 @@ def _run_jscc_average(cfg, workers):
     if rd.source.unbounded_distortion:
         raise ConfigError("invalid field: source has unbounded distortion; "
                           "jscc_average needs a bounded one")
-    k, d = _block_length(cfg), float(cfg["d"])
-    given = cfg.get("M") is not None
-    M = cfg["M"] if given else average_codebook_size(k, rd)
-    if (isinstance(M, bool) or not isinstance(M, int) or not 1 <= M <= FULL_DECODER_MAX_SUPPORT
-            or M * k > MATERIALIZE_MAX):
-        raise ConfigError(f"invalid field: M={M!r}{'' if given else f' (the default for k={k})'} "
-                          f"must be an integer in [1, {FULL_DECODER_MAX_SUPPORT}] with "
-                          f"M*k <= {MATERIALIZE_MAX}")
+    k, d = _integer(cfg, "k", 1), _number(cfg, "d")
+    # an absent or null M takes the default; M*k symbols of a codebook are held at once
+    M = cfg.get("M")
+    M = _integer({"M": average_codebook_size(k, rd) if M is None else M}, "M", 1,
+                 min(FULL_DECODER_MAX_SUPPORT, MATERIALIZE_MAX // k))
     st = simulate_average(k, d, dmc, rd, cfg["seed"], cfg["trials"], M=M, workers=workers)
     metrics = {
         "tau": {"estimate": st.ell_hat, "half_width": st.ell_half_width,
@@ -326,7 +325,7 @@ def _run_jscc_guaranteed(cfg, workers):
     dmc = _simulated_channel(cfg)
     src = _model(cfg, "source")
     # the covering map is an exhaustive search over source blocks
-    k, d = _block_length(cfg, most=4), float(_need(cfg, "d"))
+    k, d = _integer(cfg, "k", 1, 4), _number(cfg, "d")
     st = simulate_guaranteed(k, d, dmc, src, cfg["seed"], cfg["trials"],
                              workers=workers)
     metrics = {"tau": {"estimate": st.ell_hat, "half_width": st.ell_half_width,
@@ -338,14 +337,10 @@ def _run_jscc_guaranteed(cfg, workers):
 
 
 def _run_sk(cfg, workers):
-    sigma2 = float(cfg.get("sigma2", 1.0))
-    P, n = float(_need(cfg, "P")), int(_need(cfg, "n"))
-    if not sigma2 > 0:
-        raise ConfigError(f"invalid field: sigma2={sigma2} must be > 0")
+    sigma2 = _number(cfg, "sigma2", 1.0, positive=True)
+    P, n = _number(cfg, "P"), _integer(cfg, "n", 1)
     if not P >= 0:
         raise ConfigError(f"invalid field: P={P} must be >= 0")
-    if n < 1:
-        raise ConfigError(f"invalid field: n={n} must be at least 1")
     mses, powers = sk_mse_batch(sigma2, P, n, cfg["trials"], cfg["seed"])
     metrics = {"mse": {"estimate": float(mses[-1]), "half_width": 0.0,
                        "n": cfg["trials"]},
@@ -357,7 +352,7 @@ def _run_sk(cfg, workers):
 
 def _run_energy_vl(cfg, workers):
     prior = _model(cfg, "prior")
-    N0 = _positive(cfg, "N0", 2.0)
+    N0 = _number(cfg, "N0", 2.0, positive=True)
     # the ideal transmitter draws nothing, so a trial's (correct, energy,
     # bits) row is its message's row of this table
     tx = IdealBitTransmitter(N0)
@@ -377,14 +372,10 @@ def _run_energy_vl(cfg, workers):
 
 
 def _run_ppm(cfg, workers):
-    E, m = float(_need(cfg, "E")), int(_need(cfg, "m"))
-    N0 = float(cfg.get("N0", 2.0))
+    E, m = _number(cfg, "E"), _integer(cfg, "m", 1, PPM_MAX_M)
+    N0 = _number(cfg, "N0", 2.0, positive=True)
     if not E >= 0:
         raise ConfigError(f"invalid field: E={E} must be >= 0")
-    if not 1 <= m <= PPM_MAX_M:
-        raise ConfigError(f"invalid field: m={m} must lie in [1, {PPM_MAX_M}]")
-    if not N0 > 0:
-        raise ConfigError(f"invalid field: N0={N0} must be > 0")
     errs = ppm_trials(E, m, N0, cfg["trials"], cfg["seed"])
     err = _stat(errs)
     bound = ppm_error_prob(E, m, N0)
@@ -396,7 +387,7 @@ def _run_ppm(cfg, workers):
 
 
 def _k_d_eps(cfg):
-    return _block_length(cfg), float(_need(cfg, "d")), float(_need(cfg, "eps"))
+    return _integer(cfg, "k", 1), _number(cfg, "d"), _number(cfg, "eps")
 
 
 def _capacity(cfg):
@@ -427,12 +418,12 @@ _BOUNDS = {
                          ("channel", "k", "d", "eps")),
     "converse_length": (_converse_lengths, ("channel", "k", "d", "eps")),
     "energy_expansion": (lambda cfg: {"energy_nats": energy_expansion(
-                             _need(cfg, "expansion_kind", "bound."), _block_length(cfg),
+                             _need(cfg, "expansion_kind", "bound."), _integer(cfg, "k", 1),
                              _rd(cfg) if "source" in cfg else None, cfg.get("eps"))},
                          ("expansion_kind", "k", "eps", "source")),
     "awgn_converse": (lambda cfg: {"eps_lower": awgn_jscc_converse(
-                          _rd(cfg), _block_length(cfg), float(_need(cfg, "E")),
-                          float(cfg.get("N0", 2.0)), cfg.get("gamma"))},
+                          _rd(cfg), _integer(cfg, "k", 1), _number(cfg, "E"),
+                          _number(cfg, "N0", 2.0), cfg.get("gamma"))},
                       ("k", "E", "N0", "gamma")),
 }
 

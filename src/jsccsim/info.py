@@ -35,30 +35,6 @@ def entropy(p) -> float:
     return float(-np.dot(nz, np.log(nz)))
 
 
-def varentropy(p) -> float:
-    """Variance of the self-information -log p(S), S ~ p, in nats^2."""
-    p = validate_pmf(p)
-    nz = p[p > 0]
-    logs = -np.log(nz)
-    mean = np.dot(nz, logs)
-    return float(np.dot(nz, (logs - mean) ** 2))
-
-
-def info_density(dmc, x: int, y: int) -> float:
-    """log W(y|x) / P_Y*(y) in nats; -inf when W(y|x) = 0.
-
-    Outputs with zero capacity-achieving output probability are unreachable
-    and rejected.
-    """
-    py = dmc.caod[y]
-    if py <= 0:
-        raise ValueError(f"output {y} has zero capacity-achieving probability")
-    w = dmc.W[x, y]
-    if w == 0:
-        return float("-inf")
-    return float(np.log(w) - np.log(py))
-
-
 def lattice_convolution(dist: dict, steps, times: int, cap: float = np.inf) -> dict:
     """``times``-fold convolution of ``dist`` (value -> probability) with the
     (value, probability) pairs ``steps``.
@@ -90,11 +66,3 @@ def normal_tail_inv(p) -> float:
         raise ValueError("normal_tail_inv requires 0 < p < 1")
     return -ndtri(p) + 0.0
 
-
-def truncated_normal_mean(eps: float) -> float:
-    """E[Z 1{Z > Q^{-1}(eps)}] for standard normal Z, via the closed form
-    phi(Q^{-1}(eps)) = exp(-Q^{-1}(eps)^2 / 2) / sqrt(2 pi)."""
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    q = normal_tail_inv(eps)
-    return float(np.exp(-0.5 * q * q) / np.sqrt(2 * np.pi))

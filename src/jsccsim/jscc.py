@@ -32,8 +32,8 @@ MATERIALIZE_MAX = 2 ** 24
 class LossyCodebook:
     """Codewords i.i.d. from the k-fold product of a generator marginal.
 
-    Materialized when M*k is small; otherwise chunks are regenerated lazily
-    from the key, so the same (seed, index) always yields the same codeword.
+    Chunks are generated from the key on demand, so the same (seed, index)
+    always yields the same codeword.
     """
 
     def __init__(self, key: int, k: int, M: int, output_pmf):
@@ -41,22 +41,11 @@ class LossyCodebook:
         self.k = int(k)
         self.M = int(M)
         self.q_cum = np.cumsum(np.asarray(output_pmf, dtype=np.float64))
-        self._points = None
 
     def chunk(self, start: int, count: int) -> np.ndarray:
-        if self._points is not None:
-            return self._points[start:start + count]
         rows = np.arange(start, min(start + count, self.M))
         u = keyed_uniforms_2d(self.key, rows, 0, self.k)
         return np.searchsorted(self.q_cum, u, side="right")
-
-    @property
-    def points(self) -> np.ndarray:
-        if self._points is None:
-            if self.M * self.k > MATERIALIZE_MAX:
-                raise ValueError("codebook too large to materialize")
-            self._points = self.chunk(0, self.M)
-        return self._points
 
 
 def dball_encode(s: np.ndarray, cb: LossyCodebook, d: float,
@@ -76,8 +65,11 @@ def dball_encode(s: np.ndarray, cb: LossyCodebook, d: float,
 
 def min_distortion_encode(s: np.ndarray, cb: LossyCodebook,
                           dist_matrix: np.ndarray) -> int:
-    """Index of the distortion-minimizing codeword, smallest index on ties."""
-    totals = dist_matrix[s[None, :], cb.points].sum(axis=1)
+    """Index of the distortion-minimizing codeword, smallest index on ties.
+    The whole codebook is generated at once."""
+    if cb.M * cb.k > MATERIALIZE_MAX:
+        raise ValueError("codebook too large to materialize")
+    totals = dist_matrix[s[None, :], cb.chunk(0, cb.M)].sum(axis=1)
     return int(np.argmin(totals))
 
 
@@ -130,8 +122,10 @@ def analytic_miss(type_probs: np.ndarray, pballs: np.ndarray, M: int) -> float:
 
 
 def choose_codebook_size(type_probs: np.ndarray, pballs: np.ndarray,
-                         eps_source: float, cap: int = FULL_DECODER_MAX_SUPPORT) -> int:
-    """Smallest M with analytic miss probability <= eps_source."""
+                         eps_source: float) -> int:
+    """Smallest M <= FULL_DECODER_MAX_SUPPORT with analytic miss probability
+    <= eps_source."""
+    cap = FULL_DECODER_MAX_SUPPORT
     if analytic_miss(type_probs, pballs, cap) > eps_source:
         raise ValueError(f"cannot reach miss <= {eps_source} with M <= {cap}")
     lo, hi = 1, cap
@@ -194,7 +188,7 @@ def default_budget_split(eps: float, k: int):
 
 def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
                     master_seed: int, trials: int, split=None, mode: str | None = None,
-                    M: int | None = None, workers: int = 1) -> PipelineStats:
+                    workers: int = 1) -> PipelineStats:
     """Excess-distortion pipeline: d-ball source code + stop-feedback channel
     code with the analytic index distribution as message prior.
 
@@ -209,8 +203,7 @@ def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
     if eps_src <= 0 or eps_ch <= 0:
         raise ValueError("both budget components must be positive")
     tp, pb = type_ball_probs(rd, k, d)
-    if M is None:
-        M = choose_codebook_size(tp, pb, eps_src)
+    M = choose_codebook_size(tp, pb, eps_src)
     prior = index_prior(tp, pb, M)
     gamma = float(np.log(1.0 / eps_ch))
     if mode is None:
@@ -253,11 +246,12 @@ def average_codebook_size(k: int, rd: RdSolution) -> int:
 
 def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
                      master_seed: int, trials: int, M: int | None = None,
-                     holder_p: float = 2.0, workers: int = 1) -> PipelineStats:
+                     workers: int = 1) -> PipelineStats:
     """Average-distortion pipeline: min-distortion encoder over a random
     codebook, uniform-prior stop-feedback channel code with error budget
-    k^(1/p - 2).  Reports the end-to-end average distortion (channel errors
-    included via the distortion of the wrongly decoded codeword)."""
+    k^(1/p - 2) = k^(-3/2), at Hoelder exponent p = 2.  Reports the end-to-end
+    average distortion (channel errors included via the distortion of the
+    wrongly decoded codeword)."""
     if rd.source.unbounded_distortion:
         raise ValueError("average-distortion mode requires bounded distortion")
     if M is None:
@@ -266,7 +260,7 @@ def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
         raise ValueError("M must be at least 1")
     if M > FULL_DECODER_MAX_SUPPORT:
         raise ValueError("codebook too large to materialize")
-    eps_ch = float(k) ** (1.0 / holder_p - 2.0)
+    eps_ch = float(k) ** -1.5
     gamma = float(np.log(1.0 / eps_ch))
     prior = MessagePrior(np.full(M, 1.0 / M))
 
@@ -276,9 +270,7 @@ def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
     def shard(ids):
         keys, S = source_blocks(master_seed, ids, pmf_cum, k)
         cbs = [LossyCodebook(key, k, M, rd.output_pmf) for key in fold_keys(keys, 3).tolist()]
-        # encode on a throwaway materialized copy: kept, the shard's would pile up
-        ws = np.array([min_distortion_encode(s, LossyCodebook(cb.key, k, M, rd.output_pmf),
-                                             dm) for s, cb in zip(S, cbs)])
+        ws = np.array([min_distortion_encode(s, cb, dm) for s, cb in zip(S, cbs)])
         taus, decoded, errs, _ = stop_feedback_many(dmc, prior, gamma, "full_decoder",
                                                     fold_keys(keys, 4), ws)
         dists = [(_distortion(dm, s, cb, dec), _distortion(dm, s, cb, w))
@@ -348,14 +340,16 @@ def simulate_guaranteed(k: int, d: float, dmc: Dmc, rd, master_seed: int,
 
 
 def naive_separation_bound(k: int, d: float, eps: float, C: float,
-                           rd: RdSolution, grid: int = 2001) -> float:
+                           rd: RdSolution) -> float:
     """Length needed by naive separation: min over eta + zeta <= eps of
     (1 - eta) * (k R(d) + sqrt(k V(d)) Qinv(zeta)) / C, two-term forms with
-    the O(.) remainders dropped."""
+    the O(.) remainders dropped; eta runs over a grid of 2000 points."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
+    if C <= 0:
+        raise ValueError("C must be positive")
     R, V = rd.rate, rd.dispersion
-    etas = np.linspace(0.0, eps, grid)[:-1]
+    etas = np.linspace(0.0, eps, 2001)[:-1]
     zetas = eps - etas
     qi = np.array([normal_tail_inv(z) for z in zetas])
     vals = (1.0 - etas) * (k * R + np.sqrt(k * V) * qi) / C

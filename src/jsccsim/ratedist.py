@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import entropy, normal_tail_inv, validate_pmf, varentropy
+from .info import normal_tail_inv, validate_pmf
 
 GAUSSIAN_DISPERSION_NATS2 = 0.5  # Var[(S^2/sigma^2 - 1)/2]
 
@@ -70,7 +70,6 @@ class RdSolution:
     output_pmf: np.ndarray | None = None   # discrete: P_Z*
     output_variance: float | None = None   # gaussian: sigma^2 - d
     dispersion: float = 0.0                # nats^2
-    lossless: bool = False                 # almost-lossless branch (Z* = S)
     distortion_gap: float = 0.0            # |E[d] - d| reached by the solver
 
 
@@ -89,7 +88,7 @@ def d_min_max(src: SourceModel) -> tuple[float, float]:
     return dmin, dmax
 
 
-def _ba_inner(p, dm, lam, n_iter=2000, tol=1e-14):
+def _ba_inner(p, dm, lam, n_iter=2000):
     """Blahut-Arimoto fixed point at fixed slope lam.
 
     Returns (rate nats, mean distortion, output marginal q)."""
@@ -102,7 +101,7 @@ def _ba_inner(p, dm, lam, n_iter=2000, tol=1e-14):
             raise FloatingPointError("no reproduction point reachable at this slope")
         qn = q * ((p / denom) @ A)
         qn /= qn.sum()
-        if np.max(np.abs(qn - q)) < tol:
+        if np.max(np.abs(qn - q)) < 1e-14:
             q = qn
             break
         q = qn
@@ -115,11 +114,11 @@ def _ba_inner(p, dm, lam, n_iter=2000, tol=1e-14):
     return max(rate, 0.0), dist, q
 
 
-def ba_rate_distortion(src: SourceModel, d: float, tol: float = 1e-9) -> RdSolution:
+def ba_rate_distortion(src: SourceModel, d: float) -> RdSolution:
     """Solve for the rate-distortion point at distortion d.
 
     Discrete sources: bisection on the slope so the BA fixed point meets the
-    distortion constraint to within tol; Gaussian: closed form.
+    distortion constraint to within 1e-9; Gaussian: closed form.
     """
     dmin, dmax = d_min_max(src)
     if not d > dmin:
@@ -151,7 +150,7 @@ def ba_rate_distortion(src: SourceModel, d: float, tol: float = 1e-9) -> RdSolut
                 lo = lam
             else:
                 hi = lam
-            if hi - lo < 1e-13 * max(1.0, hi) and abs(dist - d) < tol:
+            if hi - lo < 1e-13 * max(1.0, hi) and abs(dist - d) < 1e-9:
                 break
         lam = 0.5 * (lo + hi)
         rate, dist, qc = _ba_inner(p, dmc, lam, n_iter=20000)
@@ -180,15 +179,6 @@ def ba_rate_distortion(src: SourceModel, d: float, tol: float = 1e-9) -> RdSolut
     return sol
 
 
-def lossless_solution(src: SourceModel) -> RdSolution:
-    """Almost-lossless branch: tilted information reduces to -log P_S(s)."""
-    if src.kind != "discrete":
-        raise ValueError("lossless branch is for discrete sources")
-    return RdSolution(source=src, d=0.0, rate=entropy(src.pmf), slope=np.inf,
-                      output_pmf=src.pmf.copy(), dispersion=varentropy(src.pmf),
-                      lossless=True)
-
-
 def zero_rate_solution(src: SourceModel, d: float) -> RdSolution:
     """Rate-zero point for d >= d_max (discrete sources): every block maps to
     the one reproduction letter of least expected distortion."""
@@ -203,9 +193,6 @@ def tilted_information(rd: RdSolution, s) -> np.ndarray | float:
     Accepts a symbol index (discrete), a real value (gaussian), or an array;
     returns nats with matching shape.
     """
-    if rd.lossless:
-        vals = -np.log(rd.source.pmf)
-        return vals[np.asarray(s)] if np.ndim(s) else float(vals[s])
     if rd.source.kind == "gaussian":
         s2 = rd.source.variance
         s = np.asarray(s, dtype=np.float64)
@@ -271,10 +258,10 @@ def _entropy_of_assignment(pk, assign, nz):
     return float(-np.dot(nzm, np.log(nzm)))
 
 
-def _assignment_exhaustive(pk, dk, d, eps, node_cap=4_000_000):
-    """Exact DFS over all maps source -> reproduction point."""
+def _assignment_exhaustive(pk, dk, d, eps):
+    """Exact DFS over all maps source -> reproduction point; None above 4e6."""
     n, nz = dk.shape
-    if nz ** n > node_cap:
+    if nz ** n > 4_000_000:
         return None
     violating = dk > d + 1e-12
     best = {"h": np.inf, "assign": None}
@@ -298,13 +285,13 @@ def _assignment_exhaustive(pk, dk, d, eps, node_cap=4_000_000):
     return best["h"], best["assign"]
 
 
-def _assignment_greedy_refined(pk, dk, d, eps, restarts=16):
-    """Greedy cover plus single-move local refinement (larger instances)."""
+def _assignment_greedy_refined(pk, dk, d, eps):
+    """Greedy cover plus single-move local refinement, 16 restarts (larger instances)."""
     n, nz = dk.shape
     violating = dk > d + 1e-12
     best_h, best_assign = np.inf, None
     rnd = np.random.default_rng(0)
-    for r in range(restarts):
+    for _ in range(16):
         # greedy: repeatedly pick the point covering the most unassigned mass
         assign = np.full(n, -1, dtype=int)
         budget = eps

@@ -14,10 +14,10 @@ rules (``vlft_many``), or the ``n_max`` cut of the length sum
 (``vlft_sum_many``).  Trial keys come from ``rng.trial_keys``, a vectorised
 fold over trial ids, messages from ``MessagePrior.sample_many``, and all
 trials of a batch share one block schedule, so every trial's numbers are
-those it gets when run alone.  The per-trial functions
-(``stop_feedback_transmit``, ``vlft_transmit``, ``vlft_sum_trial`` and the
-``*_trial`` draws) are batches of one; no simulator calls them, and they
-stay as the per-trial API of the tests and golden transcripts.
+those it gets when run alone.  ``stop_feedback_transmit`` and
+``vlft_transmit`` send one given message as a batch of one; no simulator
+calls them, and they stay as the per-trial API of the tests and golden
+transcripts.
 """
 
 from __future__ import annotations
@@ -98,12 +98,12 @@ def uniform_prior(M: int) -> MessagePrior:
     return MessagePrior(np.full(M, 1.0 / M))
 
 
-def geometric_prior(q: float, tail: float = 1e-9) -> MessagePrior:
-    """Truncated geometric prior P(m) ~ (1-q) q^{m-1}; tail folded into the
-    last retained message."""
+def geometric_prior(q: float) -> MessagePrior:
+    """Truncated geometric prior P(m) ~ (1-q) q^{m-1}; a tail of at most 1e-9
+    folded into the last retained message."""
     if not 0 < q < 1:
         raise ValueError("q must be in (0,1)")
-    m = max(2, int(np.ceil(np.log(tail) / np.log(q))))
+    m = max(2, int(np.ceil(np.log(1e-9) / np.log(q))))
     p = (1 - q) * q ** np.arange(m)
     p[-1] += 1.0 - p.sum()
     # folding can push the last mass above its neighbor; restore the ordering
@@ -138,11 +138,8 @@ class Transcript:
     decoded: int | None
     tau: int                 # channel uses until the decoder's stop
     error: float             # 0/1 in full_decoder mode; exp(-gamma) in true_path
-    mode: str
-    gamma: float = float("nan")
     info_sum: float = float("nan")   # sum of true-path info densities up to tau
     anomaly: bool = False            # VLFT decode-rule mismatch, logged not hidden
-    tail_mass: float = 0.0
 
 
 def _batch_trials(rows: int) -> int:
@@ -222,12 +219,6 @@ def _batch_args(keys, w):
     return np.asarray(keys, dtype=np.uint64), np.asarray(w, dtype=np.int64)
 
 
-def stop_feedback_trial(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
-                        rng: RngStream) -> Transcript:
-    """One stop-feedback trial: samples W from the prior, then transmits it."""
-    return stop_feedback_transmit(dmc, prior, gamma, prior.sample(rng), mode, rng)
-
-
 def stop_feedback_transmit(dmc: Dmc, prior: MessagePrior, gamma: float, w: int,
                            mode: str, rng: RngStream) -> Transcript:
     """Transmit a given message with per-message thresholds gamma + i_W(m).
@@ -242,8 +233,7 @@ def stop_feedback_transmit(dmc: Dmc, prior: MessagePrior, gamma: float, w: int,
                                                        [rng.key], [w])
     return Transcript(true_message=w,
                       decoded=int(decoded[0]) if mode == "full_decoder" else None,
-                      tau=int(tau[0]), error=float(error[0]), mode=mode, gamma=gamma,
-                      info_sum=float(info_sum[0]), tail_mass=prior.tail_mass)
+                      tau=int(tau[0]), error=float(error[0]), info_sum=float(info_sum[0]))
 
 
 def stop_feedback_many(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
@@ -302,12 +292,6 @@ def stop_feedback_length_bound(H: float, eps: float, C: float, a0: float) -> flo
     return (H + np.log(1.0 / eps) + a0) / C
 
 
-def vlft_trial(dmc: Dmc, prior: MessagePrior, rng: RngStream,
-               decode_rule: str = "map_stop") -> Transcript:
-    """One zero-error VLFT trial: samples W from the prior, then transmits."""
-    return vlft_transmit(dmc, prior, prior.sample(rng), rng, decode_rule)
-
-
 def vlft_transmit(dmc: Dmc, prior: MessagePrior, w: int, rng: RngStream,
                   decode_rule: str = "map_stop") -> Transcript:
     """Transmit a given message with the zero-error VLFT scheme.
@@ -335,9 +319,8 @@ def vlft_transmit(dmc: Dmc, prior: MessagePrior, w: int, rng: RngStream,
     """
     tau, decoded, error, info_sum = vlft_many(dmc, prior, [rng.key], [w], decode_rule)
     return Transcript(true_message=w, decoded=int(decoded[0]), tau=int(tau[0]),
-                      error=float(error[0]), mode="vlft_full",
-                      info_sum=float(info_sum[0]), anomaly=bool(error[0]),
-                      tail_mass=prior.tail_mass)
+                      error=float(error[0]), info_sum=float(info_sum[0]),
+                      anomaly=bool(error[0]))
 
 
 def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_stop"):
@@ -350,7 +333,7 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
     if not prior.sorted_desc:
         raise ValueError("VLFT prior must be ordered by non-increasing probability")
     if prior.size > FULL_DECODER_MAX_SUPPORT:
-        raise ValueError("vlft_trial tracks all lower-index messages; support too large")
+        raise ValueError("vlft tracks all lower-index messages; support too large")
     if decode_rule not in VLFT_DECODE_RULES:
         raise ValueError(f"unknown decode rule {decode_rule!r}")
     keys, w = _batch_args(keys, w)
@@ -401,19 +384,12 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
     return tau, decoded, (decoded != w).astype(np.float64), info_sum
 
 
-def vlft_sum_trial(dmc: Dmc, prior: MessagePrior, rng: RngStream, n_max: int):
-    """True-path contribution sum_{n=0}^{n_max} exp(-|i(X^n;Y^n) - i_W(W)|+).
-
-    Returns (partial sum, summand at n_max) so the caller can verify the tail
-    has converged.  A batch of one of ``vlft_sum_many``.
-    """
-    total, last = vlft_sum_many(dmc, prior, [rng.key], [prior.sample(rng)], n_max)
-    return float(total[0]), float(last[0])
-
-
 def vlft_sum_many(dmc: Dmc, prior: MessagePrior, keys, w, n_max: int):
-    """``vlft_sum_trial`` of the trials with stream keys ``keys`` and messages
-    w: (partial sums, summands at n_max) arrays."""
+    """True-path contributions sum_{n=0}^{n_max} exp(-|i(X^n;Y^n) - i_W(W)|+)
+    of the trials with stream keys ``keys`` and messages w.
+
+    Returns (partial sums, summands at n_max) arrays, so the caller can
+    verify the tail has converged."""
     keys, w = _batch_args(keys, w)
     iw = prior.self_info[w]
     total, last = np.ones(w.size), np.ones(w.size)  # n = 0 term: exp(-|0 - iw|+) = 1
@@ -430,11 +406,11 @@ def vlft_sum_many(dmc: Dmc, prior: MessagePrior, keys, w, n_max: int):
 
 
 def vlft_length_via_sum(dmc: Dmc, prior: MessagePrior, master_seed: int,
-                        trials: int, n_max: int = 512, tail_tol: float = 1e-6):
+                        trials: int, n_max: int = 512):
     """MC estimate of the union-bound length sum, true-path simulation only.
 
-    Scales to arbitrarily large message sets.  Raises if the summand has not
-    decayed below tail_tol by n_max.
+    Scales to arbitrarily large message sets.  Raises if the mean summand has
+    not decayed below 1e-6 by n_max.
     """
     def shard(ids):
         keys = trial_keys(master_seed, ids)
@@ -442,10 +418,10 @@ def vlft_length_via_sum(dmc: Dmc, prior: MessagePrior, master_seed: int,
                                              n_max))
 
     vals, tails = run_trials(shard, trials).T
-    if tails.mean() > tail_tol:
+    if tails.mean() > 1e-6:
         raise RuntimeError(
             f"length-sum tail not converged: mean summand at n_max={n_max} is "
-            f"{tails.mean():.3g} > {tail_tol}")
+            f"{tails.mean():.3g} > 1e-06")
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(trials))
 
 
@@ -473,7 +449,3 @@ def vlft_converse_length(k: int, d: float, eps: float, rd, C: float) -> float:
             lo = mid
     return hi
 
-
-def thm1_length_bound(M: int, eps: float, C: float, a0: float) -> float:
-    """Equiprobable baseline: (log M + ln(1/eps) + a0) / C."""
-    return stop_feedback_length_bound(np.log(M), eps, C, a0)

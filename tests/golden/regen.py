@@ -23,8 +23,8 @@ from jsccsim.energy import (EnergyBudget, SequentialBitTransmitter,
 from jsccsim.harness import run
 from jsccsim.ratedist import bernoulli_hamming
 from jsccsim.rng import seed_stream
-from jsccsim.vlf import (MessagePrior, stop_feedback_trial, uniform_prior,
-                         vlft_length_via_sum, vlft_sum_trial, vlft_trial)
+from jsccsim.vlf import (MessagePrior, stop_feedback_transmit, uniform_prior,
+                         vlft_length_via_sum, vlft_sum_many, vlft_transmit)
 
 PATH = Path(__file__).with_name("records.json")
 
@@ -113,16 +113,21 @@ def _row(tr):
 
 
 def _stop_feedback(dmc, mode, seed):
-    return _transcripts(lambda rng: _row(stop_feedback_trial(dmc, _PRIOR, GAMMA, mode, rng)),
-                        seed)
+    return _transcripts(lambda rng: _row(stop_feedback_transmit(
+        dmc, _PRIOR, GAMMA, _PRIOR.sample(rng), mode, rng)), seed)
 
 
 def _vlft(dmc, rule, seed):
-    return _transcripts(lambda rng: _row(vlft_trial(dmc, _PRIOR, rng, rule)), seed)
+    return _transcripts(lambda rng: _row(vlft_transmit(dmc, _PRIOR, _PRIOR.sample(rng), rng,
+                                                       rule)), seed)
 
 
 def _vlft_sum(dmc, n_max, seed):
-    return _transcripts(lambda rng: vlft_sum_trial(dmc, _PRIOR, rng, n_max), seed)
+    """(partial sum, summand at n_max) of each trial."""
+    def one(rng):
+        total, last = vlft_sum_many(dmc, _PRIOR, [rng.key], [_PRIOR.sample(rng)], n_max)
+        return float(total[0]), float(last[0])
+    return _transcripts(one, seed)
 
 
 def _sequential_energy(N0, seed):

@@ -7,7 +7,7 @@ import pytest
 
 from jsccsim.energy import (EnergyBudget, IdealBitTransmitter,
                             SequentialBitTransmitter, awgn_jscc_converse,
-                            diagonal_slot, energy_expansion, huffman_code,
+                            energy_expansion, huffman_code,
                             lossy_energy_error_bound, ppm_error_prob,
                             ppm_trials, sk_block, sk_mse_batch,
                             vl_feedback_energy_trial, vl_separated_error_bound)
@@ -78,18 +78,6 @@ def test_huffman_prefix_free_and_within_one_bit_of_entropy():
         avg = float(np.dot(prior.pmf, [len(w) for w in words]))
         H_bits = prior.entropy / LN2
         assert H_bits <= avg < H_bits + 1
-
-
-def test_diagonal_slot_values_and_injectivity():
-    assert [diagonal_slot(1, t) for t in (1, 2, 3, 4, 5)] == [1, 2, 4, 7, 11]
-    assert diagonal_slot(2, 1) == 3 and diagonal_slot(2, 3) == 8
-    seen = set()
-    for b in range(1, 101):
-        for t in range(1, 101):
-            seen.add(diagonal_slot(b, t))
-    assert len(seen) == 100 * 100
-    with pytest.raises(ValueError):
-        diagonal_slot(0, 1)
 
 
 def test_ideal_transmitter_pipeline():

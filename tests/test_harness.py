@@ -316,6 +316,21 @@ def _no_trials(*args, **kwargs):
      dict(SIMULATED["jscc_average"], source={"kind": "gaussian", "variance": 1.0})),
     ("sim-energy", "N0=-1", dict(ENERGY_VL_CFG, N0=-1)),
     ("sim-energy", "N0=0", dict(ENERGY_VL_CFG, N0=0)),
+    ("sim-sk", "P='x'", dict(SK_CFG, P="x")),
+    ("sim-sk", "n='x'", dict(SK_CFG, n="x")),
+    ("sim-sk", "n=None", dict(SK_CFG, n=None)),
+    ("sim-sk", r"n=2\.7", dict(SK_CFG, n=2.7)),
+    ("sim-sk", "P=inf", dict(SK_CFG, P=float("inf"))),
+    ("sim-sk", "sigma2=inf", dict(SK_CFG, sigma2=float("inf"))),
+    ("sweep", "E='x'", dict(PPM_CFG, E="x")),
+    ("sweep", r"m=\[4\]", dict(PPM_CFG, m=[4])),
+    ("sweep", r"m=4\.6", dict(PPM_CFG, m=4.6)),
+    ("sweep", "E=inf", dict(PPM_CFG, E=float("inf"))),
+    ("sweep", "N0=inf", dict(PPM_CFG, N0=float("inf"))),
+    ("sim-jscc", "d='x'", dict(EXCESS_CFG, d="x")),
+    ("sim-jscc", "eps='x'", dict(EXCESS_CFG, eps="x")),
+    ("sim-jscc", "d='x'", dict(SIMULATED["jscc_average"], d="x")),
+    ("sim-jscc", "d='x'", dict(SIMULATED["jscc_guaranteed"], d="x")),
 ])
 def test_simulator_domain_errors_are_config_errors_before_any_trial(tmp_path, monkeypatch,
                                                                      command, message, cfg):
@@ -323,6 +338,8 @@ def test_simulator_domain_errors_are_config_errors_before_any_trial(tmp_path, mo
 
     for module in (harness, jscc):
         monkeypatch.setattr(module, "run_trials", _no_trials)
+    for name in ("sk_mse_batch", "ppm_trials"):
+        monkeypatch.setattr(harness, name, _no_trials)
     with pytest.raises(ConfigError, match=f"invalid field: {message}"):
         run(cfg)
     assert _exit_code(tmp_path, command, cfg) == 2
@@ -342,6 +359,8 @@ BOUND_BASE = {"kind": "bound", "channel": BSC, "source": {"kind": "bernoulli", "
     ("k='x'", dict(BOUND_BASE, which="awgn_converse", k="x")),
     ("k, E, N0, gamma: need E >= 0", dict(BOUND_BASE, which="awgn_converse", E=-1)),
     ("k=2.7", dict(BOUND_BASE, which="awgn_converse", k=2.7)),
+    ("channel, k, d, eps: C must be positive",
+     dict(BOUND_BASE, which="naive_separation", channel={"kind": "bsc", "delta": 0.5})),
 ])
 def test_bound_domain_errors_are_config_errors_naming_the_fields(tmp_path, message, cfg):
     with pytest.raises(ConfigError, match=f"invalid field: {message}"):

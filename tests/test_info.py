@@ -1,4 +1,4 @@
-"""Entropy, varentropy, information density, and normal-tail primitives."""
+"""Entropy, information density, and normal-tail primitives."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsccsim.channels import Dmc, bsc
-from jsccsim.info import (LN2, entropy, info_density, normal_tail,
-                          normal_tail_inv, truncated_normal_mean,
-                          validate_pmf, varentropy)
-from jsccsim.rng import seed_stream
+from jsccsim.info import LN2, entropy, normal_tail, normal_tail_inv, validate_pmf
 
 
 def h2(p):
@@ -26,16 +23,6 @@ def test_entropy_bernoulli_011():
     assert entropy([0.11, 0.89]) / LN2 == pytest.approx(0.4999, abs=1e-4)
 
 
-def test_varentropy_degenerate_cases():
-    assert varentropy([0.125] * 8) == pytest.approx(0.0, abs=1e-30)
-    assert varentropy([1.0]) == 0.0
-
-
-def test_varentropy_bernoulli_02_closed_form():
-    # Var[-log p(S)] = p(1-p) (log((1-p)/p))^2 = 0.64 bits^2 at p = 0.2
-    assert varentropy([0.2, 0.8]) / LN2 ** 2 == pytest.approx(0.64, abs=1e-12)
-
-
 def test_pmf_validation_rejects_bad_vectors():
     with pytest.raises(ValueError):
         validate_pmf([0.5, 0.6])
@@ -46,30 +33,26 @@ def test_pmf_validation_rejects_bad_vectors():
 
 
 def test_info_density_bsc_and_noiseless():
+    # Dmc.log_density[x, y] = log W(y|x) / P_Y*(y), the table the kernel gathers from
     ch = bsc(0.11)
-    assert info_density(ch, 0, 0) == pytest.approx(np.log(0.89 / 0.5), abs=1e-9)
-    assert info_density(ch, 0, 1) == pytest.approx(np.log(0.11 / 0.5), abs=1e-9)
+    assert ch.log_density[0, 0] == pytest.approx(np.log(0.89 / 0.5), abs=1e-9)
+    assert ch.log_density[0, 1] == pytest.approx(np.log(0.11 / 0.5), abs=1e-9)
     noiseless = Dmc([[1.0, 0.0], [0.0, 1.0]])
-    assert info_density(noiseless, 0, 0) == pytest.approx(np.log(2), abs=1e-9)
-    assert info_density(noiseless, 0, 1) == float("-inf")
+    assert noiseless.log_density[0, 0] == pytest.approx(np.log(2), abs=1e-9)
+    assert noiseless.log_density[0, 1] == float("-inf")
     useless = bsc(0.5)
-    assert info_density(useless, 0, 0) == pytest.approx(0.0, abs=1e-9)
-    assert info_density(useless, 1, 0) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_info_density_rejects_unreachable_output():
-    ch = Dmc([[1.0, 0.0], [1.0, 0.0]])  # output 1 never occurs
-    with pytest.raises(ValueError):
-        info_density(ch, 0, 1)
+    assert useless.log_density[0, 0] == pytest.approx(0.0, abs=1e-9)
+    assert useless.log_density[1, 0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mean_info_density_under_caid_is_capacity():
     for ch in (bsc(0.11), Dmc([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])):
+        n_in, n_out = ch.W.shape
         total = 0.0
-        for x in range(ch.n_inputs):
-            for y in range(ch.n_outputs):
+        for x in range(n_in):
+            for y in range(n_out):
                 if ch.W[x, y] > 0:
-                    total += ch.caid[x] * ch.W[x, y] * info_density(ch, x, y)
+                    total += ch.caid[x] * ch.W[x, y] * ch.log_density[x, y]
         assert total == pytest.approx(ch.C, abs=1e-7)
 
 
@@ -93,26 +76,9 @@ def test_normal_tail_round_trip_and_monotonicity():
     assert np.all(np.diff(q) < 0)
 
 
-def test_truncated_normal_mean_values():
-    assert truncated_normal_mean(0.5) == pytest.approx(1 / np.sqrt(2 * np.pi),
-                                                       abs=1e-12)
-    assert truncated_normal_mean(0.9999) == pytest.approx(3.96e-4, rel=2e-3)
-    assert truncated_normal_mean(0.1) == pytest.approx(0.17550, abs=5e-6)
-
-
-def test_truncated_normal_mean_matches_monte_carlo():
-    z = seed_stream(2024, 0).normals(10 ** 7)
-    for eps in (0.1, 0.5, 0.9):
-        thr = normal_tail_inv(eps)
-        sample = z * (z > thr)
-        se = sample.std() / np.sqrt(z.size)
-        assert abs(sample.mean() - truncated_normal_mean(eps)) < 4 * se
-
-
 @given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=12))
 @settings(max_examples=40, deadline=None)
 def test_entropy_bounds_property(weights):
     p = np.array(weights) / np.sum(weights)
     h = entropy(p)
     assert -1e-12 <= h <= np.log(p.size) + 1e-12
-    assert varentropy(p) >= -1e-12

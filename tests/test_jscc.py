@@ -20,16 +20,21 @@ from jsccsim.vlf import stop_feedback_transmit, uniform_prior
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _cb_with_points(points, output_pmf=(0.5, 0.5)):
-    cb = LossyCodebook(0, points.shape[1], points.shape[0], output_pmf)
-    cb._points = np.asarray(points)
-    return cb
+class _FixedCodebook:
+    """Given codewords, read through ``chunk`` as from a LossyCodebook."""
+
+    def __init__(self, points):
+        self.points = np.asarray(points)
+        self.M, self.k = self.points.shape
+
+    def chunk(self, start, count):
+        return self.points[start:start + count]
 
 
 def test_dball_encode_first_hit_and_trivial_radius():
     s = np.array([1, 0, 1, 1])
     pts = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 0, 1], [1, 0, 1, 1]])
-    cb = _cb_with_points(pts)
+    cb = _FixedCodebook(pts)
     idx, hit = dball_encode(s, cb, 0.0, HAMMING)
     assert (idx, hit) == (3, True)
     idx, hit = dball_encode(s, cb, 1.0, HAMMING)  # radius covers everything
@@ -41,14 +46,14 @@ def test_dball_encode_first_hit_and_trivial_radius():
 def test_min_distortion_encode_matches_exhaustive_scan():
     rng = seed_stream(31, 0)
     pts = (seed_stream(31, 1).uniforms(16 * 8).reshape(16, 8) < 0.5).astype(int)
-    cb = _cb_with_points(pts)
+    cb = _FixedCodebook(pts)
     assert min_distortion_encode(pts[5], cb, HAMMING) == \
         int(np.flatnonzero((pts == pts[5]).all(axis=1))[0])
     for t in range(200):
         s = (seed_stream(32, t).uniforms(8) < 0.5).astype(int)
         want = int(np.argmin(np.abs(pts - s).sum(axis=1)))
         assert min_distortion_encode(s, cb, HAMMING) == want
-    single = _cb_with_points(pts[:1])
+    single = _FixedCodebook(pts[:1])
     assert min_distortion_encode(pts[3], single, HAMMING) == 0
 
 
@@ -61,7 +66,7 @@ def test_ball_probability_binary_is_binomial_tail():
 
 def test_lazy_codebook_chunks_agree_with_materialized_points():
     cb = LossyCodebook(99, 6, 40, np.array([0.3, 0.7]))
-    pts = cb.points
+    pts = cb.chunk(0, cb.M)
     cb2 = LossyCodebook(99, 6, 40, np.array([0.3, 0.7]))
     assert np.array_equal(cb2.chunk(13, 9), pts[13:22])
 
@@ -181,7 +186,7 @@ def test_average_pipeline_source_distortion_matches_codebook_oracle():
     means = []
     for c in range(400):
         cb = LossyCodebook(seed_stream(45, c).key, k, M, rd.output_pmf)
-        words = cb.points @ (1 << np.arange(k - 1, -1, -1).astype(np.uint32))
+        words = cb.chunk(0, M) @ (1 << np.arange(k - 1, -1, -1).astype(np.uint32))
         dmin = np.full(2 ** k, k, dtype=np.uint16)
         for wv in words:
             np.minimum(dmin, pop[srcs ^ np.uint32(wv)], out=dmin)
@@ -244,3 +249,5 @@ def test_naive_separation_bound_shapes():
     assert tiny > 100 * rd.rate / C  # positive sqrt(k) term as eps -> 0
     with pytest.raises(ValueError):
         naive_separation_bound(10, 0.05, 0.0, C, rd)
+    with pytest.raises(ValueError, match="C must be positive"):
+        naive_separation_bound(10, 0.05, 0.1, bsc(0.5).C, rd)

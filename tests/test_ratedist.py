@@ -9,8 +9,7 @@ import pytest
 from jsccsim.info import LN2, normal_tail_inv
 from jsccsim.ratedist import (ba_rate_distortion, bernoulli_hamming,
                               brute_force_deps_entropy, d_min_max,
-                              discrete_source, gaussian_source,
-                              lossless_solution, rate_dispersion,
+                              discrete_source, gaussian_source, rate_dispersion,
                               source_expansion, tilted_information)
 from jsccsim.rng import seed_stream
 
@@ -69,14 +68,6 @@ def test_tilted_information_binary_and_gaussian():
         2 * np.pi * g.output_variance)
     ex = np.trapezoid(pz * np.exp(-g.slope * ((s - zs) ** 2 - g.d)), zs)
     assert tilted_information(g, s) == pytest.approx(-np.log(ex), abs=1e-6)
-
-
-def test_lossless_branch_is_self_information():
-    src = discrete_source([0.5, 0.25, 0.25], np.ones((3, 3)) - np.eye(3))
-    rd = lossless_solution(src)
-    assert tilted_information(rd, 0) == pytest.approx(np.log(2), abs=1e-12)
-    assert tilted_information(rd, 1) == pytest.approx(np.log(4), abs=1e-12)
-    assert rd.rate == pytest.approx(1.5 * LN2, abs=1e-12)
 
 
 def test_mean_tilted_information_equals_rate():
@@ -141,6 +132,25 @@ def test_source_expansion_values():
         np.exp(-q * q / 2)
     assert got == pytest.approx(want, abs=1e-9)
     assert want == pytest.approx(263.40 - 1.454, abs=0.05)
+
+
+def test_source_expansion_second_term_is_a_truncated_normal_mean():
+    # (1 - eps) k R - expansion = sqrt(k V) E[Z 1{Z > Qinv(eps)}], Z ~ N(0, 1)
+    g = ba_rate_distortion(gaussian_source(1.0), 0.25)
+    k = 400
+
+    def term(eps):
+        gap = (1 - eps) * k * g.rate - source_expansion(k, 0.25, eps, g)
+        return gap / np.sqrt(k * g.dispersion)
+
+    assert term(0.5) == pytest.approx(1 / np.sqrt(2 * np.pi), abs=1e-12)
+    assert term(0.9999) == pytest.approx(3.96e-4, rel=2e-3)
+    assert term(0.1) == pytest.approx(0.17550, abs=5e-6)
+    z = seed_stream(2024, 0).normals(10 ** 7)
+    for eps in (0.1, 0.5, 0.9):
+        sample = z * (z > normal_tail_inv(eps))
+        se = sample.std() / np.sqrt(z.size)
+        assert abs(sample.mean() - term(eps)) < 4 * se
 
 
 def _exhaustive_min_entropy(pmf, dist, k, d):

@@ -13,10 +13,9 @@ from jsccsim.info import LN2
 from jsccsim.rng import seed_stream, trial_keys
 from jsccsim.vlf import (MessagePrior, geometric_prior,
                          stop_feedback_length_bound, stop_feedback_many,
-                         stop_feedback_transmit, stop_feedback_trial,
-                         thm1_length_bound, uniform_prior, vlf_converse_length,
+                         stop_feedback_transmit, uniform_prior, vlf_converse_length,
                          vlft_converse_length, vlft_many, vlft_sum_many,
-                         vlft_sum_trial, vlft_transmit, vlft_trial)
+                         vlft_transmit)
 
 NOISELESS = Dmc([[1.0, 0.0], [0.0, 1.0]])
 
@@ -50,8 +49,9 @@ def test_noiseless_two_messages_enumerated_behavior():
     gamma = np.log(2) - 1e-9
     errs = []
     for t in range(2000):
-        tr = stop_feedback_trial(NOISELESS, prior, gamma, "full_decoder",
-                                 seed_stream(100, t))
+        rng = seed_stream(100, t)
+        tr = stop_feedback_transmit(NOISELESS, prior, gamma, prior.sample(rng),
+                                    "full_decoder", rng)
         assert tr.tau == 2
         if tr.error:
             assert tr.true_message == 1 and tr.decoded == 0
@@ -66,8 +66,8 @@ def test_single_message_length_tracks_gamma_over_capacity():
     ch = bsc(0.11)
     prior = uniform_prior(1)
     gamma = 2.0
-    taus = np.array([stop_feedback_trial(ch, prior, gamma, "true_path",
-                                         seed_stream(101, t)).tau
+    taus = np.array([stop_feedback_transmit(ch, prior, gamma, 0, "true_path",
+                                            seed_stream(101, t)).tau
                      for t in range(3000)])
     se = taus.std(ddof=1) / np.sqrt(taus.size)
     # optional stopping: gamma <= C E[tau] <= gamma + a0
@@ -84,8 +84,9 @@ def test_stop_feedback_error_length_and_martingale_identity():
     errs = np.empty(n)
     sums = np.empty(n)
     for t in range(n):
-        tr = stop_feedback_trial(ch, prior, gamma, "full_decoder",
-                                 seed_stream(7, t))
+        rng = seed_stream(7, t)
+        tr = stop_feedback_transmit(ch, prior, gamma, prior.sample(rng), "full_decoder",
+                                    rng)
         taus[t], errs[t], sums[t] = tr.tau, tr.error, tr.info_sum
     se_e = errs.std(ddof=1) / np.sqrt(n)
     se_t = taus.std(ddof=1) / np.sqrt(n)
@@ -100,10 +101,10 @@ def test_true_path_dominates_full_decoder_pathwise():
     prior = uniform_prior(8)
     gamma = np.log(50)
     for t in range(400):
-        full = stop_feedback_trial(ch, prior, gamma, "full_decoder",
-                                   seed_stream(55, t))
-        tp = stop_feedback_trial(ch, prior, gamma, "true_path",
-                                 seed_stream(55, t))
+        rng = seed_stream(55, t)
+        w = prior.sample(rng)
+        full = stop_feedback_transmit(ch, prior, gamma, w, "full_decoder", rng)
+        tp = stop_feedback_transmit(ch, prior, gamma, w, "true_path", rng)
         assert full.tau <= tp.tau
         assert tp.true_message == full.true_message
         assert tp.error == pytest.approx(np.exp(-gamma))
@@ -112,11 +113,11 @@ def test_true_path_dominates_full_decoder_pathwise():
 def test_trial_replay_is_bit_exact():
     ch = bsc(0.11)
     prior = geometric_prior(0.6)
-    a = stop_feedback_trial(ch, prior, 3.0, "full_decoder", seed_stream(9, 3))
-    b = stop_feedback_trial(ch, prior, 3.0, "full_decoder", seed_stream(9, 3))
+    a, b = (stop_feedback_transmit(ch, prior, 3.0, prior.sample(rng), "full_decoder", rng)
+            for rng in (seed_stream(9, 3), seed_stream(9, 3)))
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
-    va = vlft_trial(ch, prior, seed_stream(9, 4))
-    vb = vlft_trial(ch, prior, seed_stream(9, 4))
+    va, vb = (vlft_transmit(ch, prior, prior.sample(rng), rng)
+              for rng in (seed_stream(9, 4), seed_stream(9, 4)))
     assert dataclasses.asdict(va) == dataclasses.asdict(vb)
 
 
@@ -133,12 +134,10 @@ def test_length_bound_arithmetic():
     assert almost1 == pytest.approx((2.0 + a0) / ch.C, abs=1e-9)
     with pytest.raises(ValueError):
         stop_feedback_length_bound(1.0, 0.1, 0.0, a0)
-    assert thm1_length_bound(16, 0.01, ch.C, a0) == pytest.approx(
-        stop_feedback_length_bound(np.log(16), 0.01, ch.C, a0))
 
 
 def test_vlft_single_message_stops_immediately():
-    tr = vlft_trial(bsc(0.11), uniform_prior(1), seed_stream(12, 0))
+    tr = vlft_transmit(bsc(0.11), uniform_prior(1), 0, seed_stream(12, 0))
     assert tr.tau == 0 and tr.error == 0.0 and tr.decoded == 0
 
 
@@ -146,7 +145,8 @@ def test_vlft_noiseless_two_messages():
     prior = uniform_prior(2)
     saw_zero = saw_one = False
     for t in range(100):
-        tr = vlft_trial(NOISELESS, prior, seed_stream(13, t))
+        rng = seed_stream(13, t)
+        tr = vlft_transmit(NOISELESS, prior, prior.sample(rng), rng)
         assert tr.error == 0.0
         if tr.true_message == 0:
             assert tr.tau == 0  # most likely message wins the time-0 tie
@@ -161,7 +161,8 @@ def test_vlft_zero_error_and_no_anomalies():
     ch = bsc(0.11)
     for prior in (uniform_prior(8), geometric_prior(0.5)):
         for t in range(1500):
-            tr = vlft_trial(ch, prior, seed_stream(14, t))
+            rng = seed_stream(14, t)
+            tr = vlft_transmit(ch, prior, prior.sample(rng), rng)
             assert tr.error == 0.0 and not tr.anomaly
 
 
@@ -171,7 +172,8 @@ def test_vlft_prefix_dominance_rules_log_anomalies():
     for rule in ("first_dominance", "largest_at_stop"):
         anomalies = 0
         for t in range(500):
-            tr = vlft_trial(ch, prior, seed_stream(15, t), decode_rule=rule)
+            rng = seed_stream(15, t)
+            tr = vlft_transmit(ch, prior, prior.sample(rng), rng, decode_rule=rule)
             assert tr.anomaly == (tr.decoded != tr.true_message)
             anomalies += tr.anomaly
         # lattice-valued densities make occasional mismatches unavoidable;
@@ -182,15 +184,16 @@ def test_vlft_prefix_dominance_rules_log_anomalies():
 def test_vlft_rejects_unsorted_prior_and_unknown_rule():
     ch = bsc(0.11)
     with pytest.raises(ValueError):
-        vlft_trial(ch, MessagePrior([0.2, 0.3, 0.5]), seed_stream(0, 0))
+        vlft_transmit(ch, MessagePrior([0.2, 0.3, 0.5]), 0, seed_stream(0, 0))
     with pytest.raises(ValueError):
-        vlft_trial(ch, uniform_prior(2), seed_stream(0, 0), decode_rule="nope")
+        vlft_transmit(ch, uniform_prior(2), 0, seed_stream(0, 0), decode_rule="nope")
 
 
 def test_vlft_sum_noiseless_is_exact():
     # deterministic unit densities: sum = log2(M) ones plus a geometric tail
     prior = uniform_prior(4)
-    total, last = vlft_sum_trial(NOISELESS, prior, seed_stream(16, 0), 64)
+    rng = seed_stream(16, 0)
+    (total,), (last,) = vlft_sum_many(NOISELESS, prior, [rng.key], [prior.sample(rng)], 64)
     assert total == pytest.approx(4.0, abs=1e-9)
     assert last < 1e-9
 
@@ -199,10 +202,10 @@ def test_vlft_sum_upper_bounds_expected_stopping_time():
     ch = bsc(0.11)
     prior = uniform_prior(8)
     n = 800
-    sums = np.array([vlft_sum_trial(ch, prior, seed_stream(17, t), 512)[0]
-                     for t in range(n)])
-    taus = np.array([vlft_trial(ch, prior, seed_stream(17, t)).tau
-                     for t in range(n)])
+    keys = trial_keys(17, np.arange(n))
+    w = prior.sample_many(keys)
+    sums = vlft_sum_many(ch, prior, keys, w, 512)[0]
+    taus = vlft_many(ch, prior, keys, w)[0]
     se = (sums.std(ddof=1) + taus.std(ddof=1)) / np.sqrt(n)
     assert taus.mean() <= sums.mean() + 4 * se  # one-sided union bound
 
@@ -255,14 +258,15 @@ def _batch_rows(kind, dmc, keys):
 
 
 def _single_row(kind, dmc, rng):
-    """The same row from the batch-of-one wrapper of one trial."""
+    """The same row from a batch of one trial."""
+    w = PRIOR7.sample(rng)
     if kind.startswith("sum_"):
-        w = PRIOR7.sample(seed_stream(rng.master_seed, rng.stream_id))
-        return (w, *vlft_sum_trial(dmc, PRIOR7, rng, int(kind[4:])))
+        total, last = vlft_sum_many(dmc, PRIOR7, [rng.key], [w], int(kind[4:]))
+        return w, float(total[0]), float(last[0])
     if kind in vlf.STOP_FEEDBACK_MODES:
-        tr = stop_feedback_trial(dmc, PRIOR7, GAMMA, kind, rng)
+        tr = stop_feedback_transmit(dmc, PRIOR7, GAMMA, w, kind, rng)
     else:
-        tr = vlft_trial(dmc, PRIOR7, rng, kind)
+        tr = vlft_transmit(dmc, PRIOR7, w, rng, kind)
     decoded = tr.true_message if tr.decoded is None else tr.decoded
     return tr.true_message, tr.tau, decoded, tr.error, tr.info_sum
 
