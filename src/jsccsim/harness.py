@@ -27,9 +27,9 @@ from .ratedist import (ba_rate_distortion, bernoulli_hamming, discrete_source,
                        gaussian_source, source_expansion)
 from .rng import half_width, run_trials, seed_stream, trial_keys
 from .vlf import (FULL_DECODER_MAX_SUPPORT, STOP_FEEDBACK_MODES, VLFT_DECODE_RULES,
-                  MessagePrior, geometric_prior, stop_feedback_length_bound,
-                  stop_feedback_many, uniform_prior, vlf_converse_length,
-                  vlft_converse_length, vlft_many)
+                  LengthBoundError, MessagePrior, geometric_prior,
+                  stop_feedback_length_bound, stop_feedback_many, trial_length_bound,
+                  uniform_prior, vlf_converse_length, vlft_converse_length, vlft_many)
 
 SCHEMA_VERSION = 2
 MIN_TRIALS_FOR_CI = 1000
@@ -197,10 +197,15 @@ def _se(metric):  # standard error back out of the 95% half-width
 
 
 def run(config: dict, workers: int = 1) -> RunRecord:
-    """Dispatch a validated config to the matching simulator or evaluator."""
+    """Dispatch a validated config to the matching simulator or evaluator.  A
+    simulated kind whose trials would run toward ``TRIAL_USE_CAP`` is
+    rejected before any trial, as a ConfigError naming the channel."""
     config = validate(config)
     t0 = time.perf_counter()
-    rec = _RUNNERS[config["kind"]](config, workers)
+    try:
+        rec = _RUNNERS[config["kind"]](config, workers)
+    except LengthBoundError as exc:
+        raise ConfigError(f"invalid field: channel: {exc}") from exc
     rec.wall_time_s = time.perf_counter() - t0
     return rec
 
@@ -210,6 +215,7 @@ def _run_stop_feedback(cfg, workers):
     gamma = _number(cfg, "gamma_nats", positive=True)
     mode = _choice(cfg, "mode", STOP_FEEDBACK_MODES)
     prior = _decoder_prior(cfg) if mode == "full_decoder" else _model(cfg, "prior")
+    trial_length_bound(dmc, prior.entropy, gamma)
     seed, trials = cfg["seed"], cfg["trials"]
 
     def shard(ids):
@@ -240,6 +246,7 @@ def _run_vlft(cfg, workers):
     if not prior.sorted_desc:
         raise ConfigError("invalid field: prior.pmf must be ordered by "
                           "non-increasing probability for vlft")
+    trial_length_bound(dmc, prior.entropy)
     seed, trials = cfg["seed"], cfg["trials"]
     rule = _choice(cfg, "decode_rule", VLFT_DECODE_RULES)
 
@@ -308,8 +315,12 @@ def _run_jscc_average(cfg, workers):
     k, d = _integer(cfg, "k", 1), _number(cfg, "d")
     # an absent or null M takes the default; M*k symbols of a codebook are held at once
     M = cfg.get("M")
-    M = _integer({"M": average_codebook_size(k, rd) if M is None else M}, "M", 1,
-                 min(FULL_DECODER_MAX_SUPPORT, MATERIALIZE_MAX // k))
+    if M is None:
+        try:
+            M = average_codebook_size(k, rd)
+        except ValueError as exc:
+            raise ConfigError(f"invalid field: k={k}: {exc}") from exc
+    M = _integer({"M": M}, "M", 1, min(FULL_DECODER_MAX_SUPPORT, MATERIALIZE_MAX // k))
     st = simulate_average(k, d, dmc, rd, cfg["seed"], cfg["trials"], M=M, workers=workers)
     metrics = {
         "tau": {"estimate": st.ell_hat, "half_width": st.ell_half_width,
@@ -341,13 +352,18 @@ def _run_sk(cfg, workers):
     P, n = _number(cfg, "P"), _integer(cfg, "n", 1)
     if not P >= 0:
         raise ConfigError(f"invalid field: P={P} must be >= 0")
+    try:
+        mse_theory = sigma2 / (1 + P) ** n
+    except OverflowError:
+        raise ConfigError(f"invalid field: P={P!r} with n={n}: (1 + P) ** n is beyond "
+                          "the float range") from None
     mses, powers = sk_mse_batch(sigma2, P, n, cfg["trials"], cfg["seed"])
     metrics = {"mse": {"estimate": float(mses[-1]), "half_width": 0.0,
                        "n": cfg["trials"]},
                "per_use_power": {"estimate": float(powers.mean()),
                                  "half_width": 0.0, "n": cfg["trials"]}}
     return RunRecord(cfg["kind"], cfg, metrics,
-                     {"mse_theory": sigma2 / (1 + P) ** n, "power_target": P})
+                     {"mse_theory": mse_theory, "power_target": P})
 
 
 def _run_energy_vl(cfg, workers):

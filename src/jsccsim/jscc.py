@@ -20,9 +20,10 @@ import numpy as np
 from .channels import Dmc
 from .info import lattice_convolution, normal_tail_inv
 from .ratedist import RdSolution, brute_force_deps_entropy, source_expansion
-from .rng import (_stream_uniforms, fold_keys, half_width, keyed_uniforms_2d, run_trials,
-                  trial_keys)
-from .vlf import FULL_DECODER_MAX_SUPPORT, MessagePrior, stop_feedback_many, vlft_many
+from .rng import (_stream_uniforms, fold_keys, half_width, hash_symbols, hash_thresholds,
+                  keyed_hashes_2d, run_trials, trial_keys)
+from .vlf import (FULL_DECODER_MAX_SUPPORT, MessagePrior, stop_feedback_many,
+                  trial_length_bound, vlft_many)
 
 _ENCODE_CHUNK = 4096
 # Most symbols (codewords x k) of a lossy codebook held in memory at once.
@@ -40,12 +41,13 @@ class LossyCodebook:
         self.key = int(key)
         self.k = int(k)
         self.M = int(M)
-        self.q_cum = np.cumsum(np.asarray(output_pmf, dtype=np.float64))
+        # inverse-CDF sampling of the output marginal, on the raw hashes
+        self._thresholds = hash_thresholds(np.cumsum(np.asarray(output_pmf,
+                                                                dtype=np.float64)))
 
     def chunk(self, start: int, count: int) -> np.ndarray:
         rows = np.arange(start, min(start + count, self.M))
-        u = keyed_uniforms_2d(self.key, rows, 0, self.k)
-        return np.searchsorted(self.q_cum, u, side="right")
+        return hash_symbols(keyed_hashes_2d(self.key, rows, 0, self.k), self._thresholds)
 
 
 def dball_encode(s: np.ndarray, cb: LossyCodebook, d: float,
@@ -206,6 +208,7 @@ def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
     M = choose_codebook_size(tp, pb, eps_src)
     prior = index_prior(tp, pb, M)
     gamma = float(np.log(1.0 / eps_ch))
+    trial_length_bound(dmc, prior.entropy, gamma)
     if mode is None:
         mode = "full_decoder" if M <= FULL_DECODER_MAX_SUPPORT else "true_path"
 
@@ -240,8 +243,13 @@ def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
 
 
 def average_codebook_size(k: int, rd: RdSolution) -> int:
-    """Codebook size of the average-distortion pipeline when none is given."""
-    return int(np.ceil(np.exp(k * rd.rate + 0.5 * np.log(k) + 1.0)))
+    """Codebook size of the average-distortion pipeline when none is given;
+    a ValueError when it is beyond the float range."""
+    log_size = k * rd.rate + 0.5 * np.log(k) + 1.0
+    if not log_size < np.log(np.finfo(np.float64).max):
+        raise ValueError(f"the default M = ceil(exp(k R + ln(k)/2 + 1)) = exp({log_size:.6g}) "
+                         "is beyond the float range; give M")
+    return int(np.ceil(np.exp(log_size)))
 
 
 def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
@@ -263,6 +271,7 @@ def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
     eps_ch = float(k) ** -1.5
     gamma = float(np.log(1.0 / eps_ch))
     prior = MessagePrior(np.full(M, 1.0 / M))
+    trial_length_bound(dmc, prior.entropy, gamma)
 
     pmf_cum = np.cumsum(rd.source.pmf)
     dm = rd.source.distortion
@@ -314,6 +323,7 @@ def simulate_guaranteed(k: int, d: float, dmc: Dmc, rd, master_seed: int,
     rank[order] = np.arange(order.size)
     w_of_block = rank[assign]
     prior = MessagePrior(mass[order])
+    trial_length_bound(dmc, prior.entropy)
     digits = ns ** np.arange(k - 1, -1, -1)
     rep_digits = nz ** np.arange(k - 1, -1, -1)
     cw_table = (order[:, None] // rep_digits[None, :]) % nz

@@ -13,10 +13,16 @@ given counters of every key (``_stream_uniforms`` over an array of keys).
 int in [0, 2^64), and deriving a key, or drawing one value with
 ``RngStream.uniform``, runs the finalizer on Python ints masked to 64 bits.
 The int ``_fold`` is the oracle of the vector fold.
+
+Codebooks draw their symbols from ``keyed_hashes_2d``, the raw hashes of
+(key, row, column), compared with ``hash_thresholds``: integer thresholds
+that give the same symbols as inverse-CDF sampling of ``keyed_uniforms_2d``
+without converting a hash to a float.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -99,6 +105,16 @@ def trial_keys(master_seed: int, ids) -> np.ndarray:
     return _mix(inner ^ _U64(_fold(_GOLDEN_INT, master_seed)), inplace=True)
 
 
+def keyed_hashes_2d(key, rows, col_start, cols):
+    """The uint64 hashes behind ``keyed_uniforms_2d``, which is ``_unit`` of
+    them; the symbol samplers compare them with ``hash_thresholds``."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    keys = np.asarray(key, dtype=np.uint64)[..., None]
+    cols = np.uint64(col_start) + np.arange(cols, dtype=np.uint64)
+    inner = _mix(keys + rows * _GOLDEN, inplace=True)[..., None]
+    return _mix(inner + cols * _GOLDEN, inplace=True)
+
+
 def keyed_uniforms_2d(key, rows, col_start, cols):
     """Uniforms u[..., r, c] in (0,1) keyed by (key, rows[..., r], col_start + c).
 
@@ -108,11 +124,42 @@ def keyed_uniforms_2d(key, rows, col_start, cols):
     never depends on which block of columns is requested, which makes lazily
     generated infinite codewords reproducible without storage.
     """
-    rows = np.asarray(rows, dtype=np.uint64)
-    keys = np.asarray(key, dtype=np.uint64)[..., None]
-    cols = np.uint64(col_start) + np.arange(cols, dtype=np.uint64)
-    inner = _mix(keys + rows * _GOLDEN, inplace=True)[..., None]
-    return _unit(_mix(inner + cols * _GOLDEN, inplace=True))
+    return _unit(keyed_hashes_2d(key, rows, col_start, cols))
+
+
+def hash_thresholds(cum) -> np.ndarray:
+    """uint64 thresholds T with ``h >= T[i]`` exactly when ``_unit(h) >= cum[i]``,
+    for every uint64 hash h, over a non-decreasing ``cum``.  Entries that no
+    uniform reaches (above 1) are dropped, so
+    ``np.searchsorted(T, h, side="right")`` equals
+    ``np.searchsorted(cum, _unit(h), side="right")``.
+
+    ``_unit(h)`` depends on h only through m = h >> 11 and does not decrease
+    with m, so T[i] is m_i << 11 for the smallest m_i whose uniform
+    (m_i + 0.5) * 2^-53, evaluated as ``_unit`` does, reaches cum[i].
+    """
+    top = (1 << 53) - 1
+    out = []
+    for c in np.asarray(cum, dtype=np.float64).tolist():
+        m = min(max(math.ceil(c * 2.0 ** 53 - 0.5), 0), top)
+        while m > 0 and (m - 1 + 0.5) * _INV53 >= c:
+            m -= 1
+        while m <= top and (m + 0.5) * _INV53 < c:
+            m += 1
+        if m > top:
+            break
+        out.append(m << 11)
+    return np.array(out, dtype=np.uint64)
+
+
+def hash_symbols(h, thresholds) -> np.ndarray:
+    """``np.searchsorted(thresholds, h, side="right")`` of uint64 hashes h, the
+    symbols of ``hash_thresholds(cum)``, as a sum of compares: one pass per
+    letter, faster than a search over the few letters of an alphabet."""
+    X = np.zeros(np.shape(h), np.int64)
+    for t in thresholds:
+        X += h >= t
+    return X
 
 
 class RngStream:

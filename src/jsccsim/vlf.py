@@ -14,10 +14,19 @@ rules (``vlft_many``), or the ``n_max`` cut of the length sum
 (``vlft_sum_many``).  Trial keys come from ``rng.trial_keys``, a vectorised
 fold over trial ids, messages from ``MessagePrior.sample_many``, and all
 trials of a batch share one block schedule, so every trial's numbers are
-those it gets when run alone.  ``stop_feedback_transmit`` and
-``vlft_transmit`` send one given message as a batch of one; no simulator
-calls them, and they stay as the per-trial API of the tests and golden
-transcripts.
+those it gets when run alone.
+
+The full decoder of ``stop_feedback_many`` takes one of two paths by the
+prior's row count.  Below _PRUNE_ROWS = 512 rows it runs the batched kernel.
+From 512 rows on, ``_pruned_trials`` runs one trial at a time and hashes
+only the rows whose sum can still reach their threshold; its numbers are
+bit-identical to the kernel's (see notes/decisions.md).
+
+Codebook symbols are drawn on the raw uint64 hashes, compared with integer
+thresholds that reproduce inverse-CDF sampling of the uniforms exactly
+(``rng.hash_thresholds``).  ``stop_feedback_transmit`` and ``vlft_transmit``
+send one given message as a batch of one; no simulator calls them, and they
+stay as the per-trial API of the tests and golden transcripts.
 """
 
 from __future__ import annotations
@@ -30,8 +39,8 @@ import numpy as np
 from .channels import Dmc, dmc_steps
 from .info import entropy
 from .ratedist import source_expansion
-from .rng import (RngStream, _stream_uniforms, fold_keys, keyed_uniforms_2d,
-                  run_trials, trial_keys)
+from .rng import (RngStream, _stream_uniforms, fold_keys, hash_symbols,
+                  hash_thresholds, keyed_hashes_2d, run_trials, trial_keys)
 
 TRIAL_USE_CAP = 10 ** 9
 _BLOCK0 = 32
@@ -45,23 +54,24 @@ STOP_FEEDBACK_MODES = ("full_decoder", "true_path")
 VLFT_DECODE_RULES = ("map_stop", "first_dominance", "largest_at_stop")
 
 FULL_DECODER_MAX_SUPPORT = 2 ** 20
+# Rows of a full-decoder prior from which ``stop_feedback_many`` runs the
+# bound-pruned decoder; below it the batched kernel is faster.  Set where the
+# measured per-trial times cross (see notes/decisions.md).
+_PRUNE_ROWS = 512
+# Uses per sub-step of the pruned decoder.
+_SUBSTEP = 8
 
 
 class MessagePrior:
-    """Finite message distribution; countable priors enter truncated.
+    """Finite message distribution; countable priors enter truncated."""
 
-    ``tail_mass`` records the probability folded into the last message when a
-    countable prior was truncated.
-    """
-
-    def __init__(self, pmf, tail_mass: float = 0.0):
+    def __init__(self, pmf):
         pmf = np.asarray(pmf, dtype=np.float64)
         if np.any(pmf <= 0):
             raise ValueError("prior must have strictly positive entries on its support")
         if abs(pmf.sum() - 1.0) > 1e-9:
             raise ValueError("prior must sum to 1")
         self.pmf = pmf / pmf.sum()
-        self.tail_mass = float(tail_mass)
         self.self_info = -np.log(self.pmf)  # nats
         self._cum = np.cumsum(self.pmf)
         # a list: bisect on Python floats is the scalar searchsorted
@@ -108,7 +118,7 @@ def geometric_prior(q: float) -> MessagePrior:
     p[-1] += 1.0 - p.sum()
     # folding can push the last mass above its neighbor; restore the ordering
     p = np.sort(p)[::-1]
-    return MessagePrior(p, tail_mass=q ** m)
+    return MessagePrior(p)
 
 
 class LazyCodebook:
@@ -122,12 +132,15 @@ class LazyCodebook:
     def __init__(self, key, caid_cum: np.ndarray):
         self.key = key if isinstance(key, np.ndarray) else int(key)
         self.caid_cum = caid_cum
+        self._thresholds = hash_thresholds(caid_cum)
 
     def block(self, messages, n0: int, length: int) -> np.ndarray:
-        u = keyed_uniforms_2d(self.key, messages, n0, length)
+        # symbols drawn on the raw hashes: the same as inverse-CDF sampling of
+        # keyed_uniforms_2d (see hash_thresholds)
+        h = keyed_hashes_2d(self.key, messages, n0, length)
         if self.caid_cum.size == 2:  # binary input: single comparison
-            return (u >= self.caid_cum[0]).astype(np.int64)
-        return np.searchsorted(self.caid_cum, u, side="right")
+            return (h >= self._thresholds[0]).astype(np.int64)
+        return hash_symbols(h, self._thresholds)
 
 
 @dataclass
@@ -207,6 +220,101 @@ def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarra
             size = min(2 * size, _BLOCK_MAX)
 
 
+def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.ndarray,
+                   block: int):
+    """(tau, decoded, info_sum) of full-decoder trials with stream keys
+    ``keys`` and messages w, one trial at a time: the numbers ``_running_sums``
+    gives, from only the rows that can still reach their threshold.
+
+    A trial keeps the block schedule of ``_running_sums`` and advances in
+    sub-steps of _SUBSTEP uses.  Row r keeps its last computed use n[r], its
+    carry K[r] at the start of that use's block and its partial cumsum P[r]
+    within the block, so P[r] + K[r] is the float the batched kernel holds for
+    it at use n[r].  In the sub-step that ends at use N, row r is brought up
+    to N only if P[r] + K[r] + (N - n[r]) * d_max reaches its threshold less
+    a rounding margin; no other row can cross by N (see "Why the pruned
+    decoder is exact" in notes/decisions.md).  The true row is always brought
+    up, so its carry is the current block's.
+    """
+    ld = dmc.log_density
+    finite = ld[np.isfinite(ld)]
+    d_max = np.nextafter(finite.max(), np.inf)
+    # a computed sum over n uses is within 3 n^2 u d_abs of the exact one, u = 2^-53
+    d_abs = np.nextafter(np.abs(finite).max(), np.inf)
+    thr_lo = thresholds - 2.0 ** -50 * np.abs(thresholds)
+    M = thresholds.size
+
+    def trial(cb_key, noise_key, w):
+        cb = LazyCodebook(cb_key, dmc.caid_cum)
+        n, K, P = np.zeros(M, np.int64), np.zeros(M), np.zeros(M)
+        edges, y = [0], np.zeros(0, np.int64)
+        n0, size = 0, block
+        while True:
+            if n0 > TRIAL_USE_CAP:
+                raise RuntimeError(f"trial exceeded {TRIAL_USE_CAP} channel uses "
+                                   f"(C={dmc.C}); check the configuration")
+            xw = cb.block([w], n0, size)[0]
+            y_blk = dmc_steps(dmc, xw, _stream_uniforms(noise_key, n0, size))
+            y = np.concatenate((y, y_blk))
+            edges.append(n0 + size)
+            for lo in range(n0, n0 + size, _SUBSTEP):
+                N = min(lo + _SUBSTEP, n0 + size)
+                margin = 2.0 ** -50 * (N + 1) ** 2 * d_abs
+                live = (N - n) * d_max + (P + K) >= thr_lo - margin
+                live[w] = True
+                rows = np.flatnonzero(live)
+                starts = n[rows]
+                hit = None
+                for a in np.unique(starts).tolist():
+                    g = rows[starts == a]
+                    S = _catch_up(cb, ld, y, edges, g, a, N, K, P)
+                    n[g] = N
+                    crossed = S[:, lo - N:] >= thresholds[g, None]
+                    col = crossed.any(axis=0)
+                    if col.any():
+                        c = int(col.argmax())
+                        first = (lo + 1 + c, int(g[crossed[:, c].argmax()]))
+                        hit = first if hit is None else min(hit, first)
+                if hit is not None:
+                    # the true-path sum at tau, as _true_sums takes it
+                    return (*hit, K[w] + ld[xw, y_blk][:hit[0] - n0].sum())
+            n0 += size
+            size = min(2 * size, _BLOCK_MAX)
+
+    cb_keys, noise_keys = fold_keys(keys, 1), fold_keys(keys, 2)
+    tau, decoded, info_sum = np.zeros(w.size, np.int64), w.copy(), np.zeros(w.size)
+    for t in range(w.size):
+        tau[t], decoded[t], info_sum[t] = trial(cb_keys[t], noise_keys[t], int(w[t]))
+    return tau, decoded, info_sum
+
+
+def _catch_up(cb: LazyCodebook, ld: np.ndarray, y: np.ndarray, edges: list,
+              g: np.ndarray, a: int, N: int, K: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Bring the rows g from use a to use N, updating their carries K and
+    partial cumsums P in place, and return their sums S = P + K over the
+    uses of the last block segment, a (rows, uses) array.
+
+    A row at the end of a block first folds its partial into its carry,
+    K = P + K, as the batched kernel carries S[-1]; a row inside a block
+    resumes its cumsum from P.  numpy's cumsum along an axis adds in order,
+    so the partials equal those of one cumsum over the whole block.
+    """
+    b = bisect_right(edges, a) - 1
+    while True:
+        lo, hi = max(a, edges[b]), min(N, edges[b + 1])
+        if lo == edges[b] and lo > 0:
+            K[g] += P[g]
+            P[g] = 0.0
+        D = ld[cb.block(g, lo, hi - lo), y[lo:hi]]
+        D[:, 0] += P[g]
+        np.cumsum(D, axis=1, out=D)
+        P[g] = D[:, -1]
+        if hi == N:
+            D += K[g][:, None]
+            return D
+        b += 1
+
+
 def _true_sums(carry, D, j, w, col) -> list:
     """carry[j, w] + D[j, w, :col + 1].sum() for each stopped trial: the
     pairwise sum over a contiguous slice, as a trial run alone takes it."""
@@ -243,7 +351,8 @@ def stop_feedback_many(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
 
     Returns (tau, decoded, error, info_sum) arrays, where info_sum is the
     true-path running sum at tau.  In true_path mode decoded is w and error
-    is the analytic exp(-gamma).
+    is the analytic exp(-gamma).  A full decoder over _PRUNE_ROWS or more
+    messages runs ``_pruned_trials``, which gives the same arrays.
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -275,12 +384,30 @@ def stop_feedback_many(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
         return hit
 
     # first block sized near the expected stopping time to minimize wasted work
-    expect = (prior.entropy + gamma + dmc.a0) / dmc.C
+    expect = trial_length_bound(dmc, prior.entropy, gamma)
     block0 = int(np.clip(32 * np.ceil(1.25 * expect / 32), _BLOCK0, _BLOCK_MAX))
-    _running_sums(dmc, keys, rows, w if full else np.zeros_like(w), block0, stop,
-                  np.arange(w.size))
+    if full and prior.size >= _PRUNE_ROWS:
+        tau, decoded, info_sum = _pruned_trials(dmc, thresholds, keys, w, block0)
+    else:
+        _running_sums(dmc, keys, rows, w if full else np.zeros_like(w), block0, stop,
+                      np.arange(w.size))
     error = (decoded != w).astype(np.float64) if full else np.full(w.size, np.exp(-gamma))
     return tau, decoded, error, info_sum
+
+
+class LengthBoundError(ValueError):
+    """A configuration whose trials would run toward TRIAL_USE_CAP uses."""
+
+
+def trial_length_bound(dmc: Dmc, H: float, gamma: float = 0.0) -> float:
+    """The expected-length bound (H + gamma + a0) / C, in channel uses, of
+    trials with prior entropy H and threshold offset gamma; a
+    LengthBoundError when it exceeds TRIAL_USE_CAP."""
+    bound = (H + gamma + dmc.a0) / dmc.C
+    if not bound <= TRIAL_USE_CAP:
+        raise LengthBoundError(f"C={dmc.C:.3g} nats gives the length bound (H + gamma + a0)/C "
+                               f"= {bound:.3g} uses, above the {TRIAL_USE_CAP} cap")
+    return bound
 
 
 def stop_feedback_length_bound(H: float, eps: float, C: float, a0: float) -> float:

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jsccsim import vlf
+
 _spec = importlib.util.spec_from_file_location(
     "golden_regen", Path(__file__).parent / "golden" / "regen.py")
 regen = importlib.util.module_from_spec(_spec)
@@ -62,10 +64,24 @@ def test_golden_call(name):
 # threads must give the serial record.
 @pytest.mark.parametrize("name", ["c11_jscc_excess", "jscc_average_k8_m64",
                                   "c11_jscc_guaranteed", "c11_stop_feedback", "c11_vlft",
-                                  "c11_energy_vl", "bench_awgn_energy_vl"]
+                                  "c11_energy_vl", "bench_awgn_energy_vl",
+                                  "bench_excess_large_m"]
                          + [name for name in RUNS if name.startswith("bench_small_m_")])
 def test_jscc_record_does_not_depend_on_worker_count(name):
     entry = RUNS[name]
     got = regen.compute_run(entry["config"], 3)
     assert regen.canonical(got) == regen.canonical(entry["record"]), (
         f"{name}: workers=3 differs from the workers=1 golden record")
+
+
+# The full decoder's records must not depend on which of its two paths runs:
+# with the switch at 1 every full decoder is pruned, above the support cap none.
+@pytest.mark.parametrize("rows", [1, vlf.FULL_DECODER_MAX_SUPPORT + 1])
+@pytest.mark.parametrize("name", ["c11_jscc_excess", "jscc_average_k8_m64",
+                                  "bench_small_m_stop_feedback_uniform"])
+def test_record_does_not_depend_on_the_pruning_switch(monkeypatch, name, rows):
+    monkeypatch.setattr(vlf, "_PRUNE_ROWS", rows)
+    entry = RUNS[name]
+    got = regen.compute_run(entry["config"], entry["workers"])
+    assert regen.canonical(got) == regen.canonical(entry["record"]), (
+        f"{name}: record moved with _PRUNE_ROWS={rows}")

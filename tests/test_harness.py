@@ -290,6 +290,9 @@ def test_seed_stream_contract():
     assert len(firsts) == 1000
 
 
+NEAR_USELESS = {"kind": "bsc", "delta": 0.4999999}
+
+
 def _no_trials(*args, **kwargs):
     raise AssertionError("a trial ran before the config was checked")
 
@@ -331,6 +334,15 @@ def _no_trials(*args, **kwargs):
     ("sim-jscc", "eps='x'", dict(EXCESS_CFG, eps="x")),
     ("sim-jscc", "d='x'", dict(SIMULATED["jscc_average"], d="x")),
     ("sim-jscc", "d='x'", dict(SIMULATED["jscc_guaranteed"], d="x")),
+    # finite values whose arithmetic overflows
+    ("sim-sk", r"P=1e\+300 with n=2", dict(SK_CFG, P=1e300, n=2)),
+    ("sim-jscc", "k=3000", {key: v for key, v in dict(SIMULATED["jscc_average"], k=3000).items()
+                            if key != "M"}),
+    # 0 < C ~ 2e-14: the length bound is far above TRIAL_USE_CAP uses
+    *[(command, "channel", dict(SIMULATED[kind], channel=NEAR_USELESS))
+      for command, kind in (("sim-vlf", "stop_feedback"), ("sim-vlft", "vlft"),
+                            ("sim-jscc", "jscc_excess"), ("sim-jscc", "jscc_average"),
+                            ("sim-jscc", "jscc_guaranteed"))],
 ])
 def test_simulator_domain_errors_are_config_errors_before_any_trial(tmp_path, monkeypatch,
                                                                      command, message, cfg):

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jsccsim.rng import (_GOLDEN, RngStream, _fold, _mix, _mix_int, _stream_uniforms,
-                         fold_keys, keyed_uniforms_2d, seed_stream, trial_keys)
+from jsccsim.channels import Dmc, bsc
+from jsccsim.jscc import LossyCodebook
+from jsccsim.ratedist import ba_rate_distortion, bernoulli_hamming
+from jsccsim.rng import (_GOLDEN, RngStream, _fold, _mix, _mix_int, _stream_uniforms, _unit,
+                         fold_keys, hash_thresholds, keyed_hashes_2d, keyed_uniforms_2d,
+                         seed_stream, trial_keys)
+from jsccsim.vlf import LazyCodebook
 
 U64 = st.integers(0, 2 ** 64 - 1)
 
@@ -149,3 +154,53 @@ def test_scalar_and_vector_draws_share_one_counter(seed, sizes):
 def test_words_outside_uint64_raise_overflow(make):
     with pytest.raises(OverflowError):
         make()
+
+
+DMC3 = Dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]])
+# The cumulative pmfs that symbols are drawn from: the capacity-achieving
+# inputs of BSC(0.11) and of a 3x3 DMC, the lossy output marginals of two
+# Bernoulli sources, and edge values.
+CUMS = {
+    "bsc": bsc(0.11).caid_cum,
+    "dmc3": DMC3.caid_cum,
+    "lossy_half": np.cumsum(ba_rate_distortion(bernoulli_hamming(0.5), 0.125).output_pmf),
+    "lossy_03": np.cumsum(ba_rate_distortion(bernoulli_hamming(0.3), 0.1).output_pmf),
+    "edges": np.array([0.0, 2.0 ** -60, 0.5, 1 - 2.0 ** -53, 1.0, 1 + 2.0 ** -52]),
+}
+
+
+@pytest.mark.parametrize("name", list(CUMS))
+def test_hash_thresholds_reproduce_the_float_compare_at_each_boundary(name):
+    """h >= T[i] and _unit(h) >= cum[i] agree at m_i - 1, m_i and m_i + 1, with
+    the low 11 bits of h all clear and all set."""
+    cum = CUMS[name]
+    T = hash_thresholds(cum)
+    assert T.size == np.count_nonzero(cum <= 1.0)
+    for c, t in zip(cum.tolist(), T.tolist()):
+        m = t >> 11
+        for mm in (m - 1, m, m + 1):
+            if not 0 <= mm < 2 ** 53:
+                continue
+            h = np.array([mm << 11, (mm << 11) | 0x7FF], dtype=np.uint64)
+            assert ((h >= np.uint64(t)) == (_unit(h.copy()) >= c)).all(), (name, c, mm - m)
+    h = keyed_hashes_2d(11, np.arange(64), 0, 64)
+    assert np.array_equal(np.searchsorted(T, h, side="right"),
+                          np.searchsorted(cum, _unit(h.copy()), side="right"))
+
+
+@pytest.mark.parametrize("name", ["bsc", "dmc3"])
+def test_codebook_symbols_equal_inverse_cdf_sampling_of_the_uniforms(name):
+    cum = CUMS[name]
+    u = keyed_uniforms_2d(5, np.arange(300), 17, 40)
+    want = ((u >= cum[0]).astype(np.int64) if cum.size == 2
+            else np.searchsorted(cum, u, side="right"))
+    assert np.array_equal(LazyCodebook(5, cum).block(np.arange(300), 17, 40), want)
+
+
+@pytest.mark.parametrize("name", ["lossy_half", "lossy_03", "dmc3"])
+def test_lossy_codewords_equal_inverse_cdf_sampling_of_the_uniforms(name):
+    cum = CUMS[name]
+    pmf = np.diff(cum, prepend=0.0)
+    u = keyed_uniforms_2d(9, np.arange(100, 400), 0, 12)
+    assert np.array_equal(LossyCodebook(9, 12, 500, pmf).chunk(100, 300),
+                          np.searchsorted(np.cumsum(pmf), u, side="right"))

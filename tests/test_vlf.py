@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsccsim import harness, vlf
-from jsccsim.channels import Dmc, bsc
+from jsccsim.channels import Dmc, bec, bsc
 from jsccsim.info import LN2
 from jsccsim.rng import seed_stream, trial_keys
 from jsccsim.vlf import (MessagePrior, geometric_prior,
@@ -35,7 +35,7 @@ def test_geometric_prior_truncation():
         pr = geometric_prior(q)
         assert pr.sorted_desc
         assert abs(pr.pmf.sum() - 1) < 1e-12
-        assert 0 < pr.tail_mass <= 1e-9
+        assert 0 < q ** pr.size <= 1e-9  # the tail folded into the last message
     with pytest.raises(ValueError):
         geometric_prior(1.0)
 
@@ -308,3 +308,65 @@ def test_one_trial_steps_give_the_same_records(monkeypatch):
     monkeypatch.setattr(vlf, "_CELLS", 1)
     assert [harness.run(dict(cfg)).stripped() for cfg in configs] == want
     assert vlf.vlft_length_via_sum(CHANNELS["dmc3"], PRIOR7, 9, 300, n_max=300) == want_sum
+
+
+def _kernel_rows(dmc, prior, gamma, keys, w, prune_rows):
+    """(tau, decoded, error, info_sum) of full-decoder trials with the pruning
+    switch at ``prune_rows``, as one repr."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vlf, "_PRUNE_ROWS", prune_rows)
+        return repr([c.tolist() for c in stop_feedback_many(dmc, prior, gamma,
+                                                            "full_decoder", keys, w)])
+
+
+def _test_prior(kind, M, rng):
+    if kind == "uniform":
+        return uniform_prior(M)
+    if kind == "geometric":
+        p = rng.uniform(0.8, 0.999) ** np.arange(M)  # no mass underflows at M = 3000
+    else:  # a random non-increasing pmf
+        p = np.sort(rng.uniform(0.01, 1.0, M))[::-1]
+    return MessagePrior(p / p.sum())
+
+
+PRUNE_CHANNELS = dict(CHANNELS, bec=bec(0.2))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(list(PRUNE_CHANNELS)), st.sampled_from(["uniform", "geometric", "pmf"]),
+       st.integers(1, 3000), st.integers(0, 2 ** 64 - 1), st.integers(1, 6),
+       st.floats(0.1, 8.0))
+def test_pruned_decoder_equals_the_batched_kernel(channel, kind, M, seed, trials, gamma):
+    dmc = PRUNE_CHANNELS[channel]
+    prior = _test_prior(kind, M, np.random.default_rng(seed % 2 ** 32))
+    keys = trial_keys(seed, np.arange(trials))
+    w = prior.sample_many(keys)
+    caught_up = []
+    catch_up = vlf._catch_up
+
+    def checked(cb, ld, y, edges, g, a, N, K, P):
+        # a row whose sum is -inf (a zero-probability transition) is never live
+        assert np.isfinite(P[g] + K[g]).all()
+        caught_up.append(g.size)
+        return catch_up(cb, ld, y, edges, g, a, N, K, P)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vlf, "_catch_up", checked)
+        pruned = _kernel_rows(dmc, prior, gamma, keys, w, 1)
+    assert caught_up
+    assert pruned == _kernel_rows(dmc, prior, gamma, keys, w, vlf.FULL_DECODER_MAX_SUPPORT + 1)
+
+
+@pytest.mark.parametrize("prune_rows", [1, vlf.FULL_DECODER_MAX_SUPPORT + 1])
+def test_both_full_decoder_paths_stop_at_the_use_cap(monkeypatch, prune_rows):
+    prior, keys = uniform_prior(600), trial_keys(1, np.arange(2))
+    args = (bsc(0.11), prior, 200.0, "full_decoder", keys, prior.sample_many(keys))
+    monkeypatch.setattr(vlf, "_PRUNE_ROWS", prune_rows)
+    monkeypatch.setattr(vlf, "TRIAL_USE_CAP", 40)
+    # gamma = 200 nats needs about 600 uses over BSC(0.11): the length bound
+    # rejects it up front, and without that check the trial stops at the cap
+    with pytest.raises(vlf.LengthBoundError, match="above the 40 cap"):
+        stop_feedback_many(*args)
+    monkeypatch.setattr(vlf, "trial_length_bound", lambda dmc, H, gamma: 40.0)
+    with pytest.raises(RuntimeError, match="exceeded 40 channel uses"):
+        stop_feedback_many(*args)
