@@ -20,8 +20,8 @@ import numpy as np
 from .channels import Dmc
 from .info import lattice_convolution, normal_tail_inv
 from .ratedist import RdSolution, brute_force_deps_entropy, source_expansion
-from .rng import (_stream_uniforms, fold_keys, half_width, hash_symbols, hash_thresholds,
-                  keyed_hashes_2d, run_trials, trial_keys)
+from .rng import (_stream_uniforms, fold_keys, half_width, hash_thresholds,
+                  keyed_uniforms_2d, run_trials, trial_keys)
 from .vlf import (FULL_DECODER_MAX_SUPPORT, MessagePrior, stop_feedback_many,
                   trial_length_bound, vlft_many)
 
@@ -47,7 +47,8 @@ class LossyCodebook:
 
     def chunk(self, start: int, count: int) -> np.ndarray:
         rows = np.arange(start, min(start + count, self.M))
-        return hash_symbols(keyed_hashes_2d(self.key, rows, 0, self.k), self._thresholds)
+        h = keyed_uniforms_2d(self.key, rows, 0, self.k, raw=True)
+        return np.searchsorted(self._thresholds, h, side="right")
 
 
 def dball_encode(s: np.ndarray, cb: LossyCodebook, d: float,

@@ -14,10 +14,10 @@ int in [0, 2^64), and deriving a key, or drawing one value with
 ``RngStream.uniform``, runs the finalizer on Python ints masked to 64 bits.
 The int ``_fold`` is the oracle of the vector fold.
 
-Codebooks draw their symbols from ``keyed_hashes_2d``, the raw hashes of
-(key, row, column), compared with ``hash_thresholds``: integer thresholds
-that give the same symbols as inverse-CDF sampling of ``keyed_uniforms_2d``
-without converting a hash to a float.
+Codebooks draw their symbols from the raw hashes of (key, row, column),
+``keyed_uniforms_2d(..., raw=True)``, compared with ``hash_thresholds``:
+integer thresholds that give the same symbols as inverse-CDF sampling of
+the uniforms without converting a hash to a float.
 """
 
 from __future__ import annotations
@@ -105,17 +105,7 @@ def trial_keys(master_seed: int, ids) -> np.ndarray:
     return _mix(inner ^ _U64(_fold(_GOLDEN_INT, master_seed)), inplace=True)
 
 
-def keyed_hashes_2d(key, rows, col_start, cols):
-    """The uint64 hashes behind ``keyed_uniforms_2d``, which is ``_unit`` of
-    them; the symbol samplers compare them with ``hash_thresholds``."""
-    rows = np.asarray(rows, dtype=np.uint64)
-    keys = np.asarray(key, dtype=np.uint64)[..., None]
-    cols = np.uint64(col_start) + np.arange(cols, dtype=np.uint64)
-    inner = _mix(keys + rows * _GOLDEN, inplace=True)[..., None]
-    return _mix(inner + cols * _GOLDEN, inplace=True)
-
-
-def keyed_uniforms_2d(key, rows, col_start, cols):
+def keyed_uniforms_2d(key, rows, col_start, cols, raw: bool = False):
     """Uniforms u[..., r, c] in (0,1) keyed by (key, rows[..., r], col_start + c).
 
     ``key`` is one key, with rows of shape (R,); or an array of T keys, with
@@ -123,8 +113,16 @@ def keyed_uniforms_2d(key, rows, col_start, cols):
     giving a (T, R, cols) array.  The value at a given (key, row, column)
     never depends on which block of columns is requested, which makes lazily
     generated infinite codewords reproducible without storage.
+
+    ``raw=True`` returns the uint64 hashes that the uniforms are ``_unit`` of;
+    the symbol samplers compare them with ``hash_thresholds``.
     """
-    return _unit(keyed_hashes_2d(key, rows, col_start, cols))
+    rows = np.asarray(rows, dtype=np.uint64)
+    keys = np.asarray(key, dtype=np.uint64)[..., None]
+    cols = np.uint64(col_start) + np.arange(cols, dtype=np.uint64)
+    inner = _mix(keys + rows * _GOLDEN, inplace=True)[..., None]
+    h = _mix(inner + cols * _GOLDEN, inplace=True)
+    return h if raw else _unit(h)
 
 
 def hash_thresholds(cum) -> np.ndarray:
@@ -150,16 +148,6 @@ def hash_thresholds(cum) -> np.ndarray:
             break
         out.append(m << 11)
     return np.array(out, dtype=np.uint64)
-
-
-def hash_symbols(h, thresholds) -> np.ndarray:
-    """``np.searchsorted(thresholds, h, side="right")`` of uint64 hashes h, the
-    symbols of ``hash_thresholds(cum)``, as a sum of compares: one pass per
-    letter, faster than a search over the few letters of an alphabet."""
-    X = np.zeros(np.shape(h), np.int64)
-    for t in thresholds:
-        X += h >= t
-    return X
 
 
 class RngStream:

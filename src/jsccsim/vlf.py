@@ -39,8 +39,8 @@ import numpy as np
 from .channels import Dmc, dmc_steps
 from .info import entropy
 from .ratedist import source_expansion
-from .rng import (RngStream, _stream_uniforms, fold_keys, hash_symbols,
-                  hash_thresholds, keyed_hashes_2d, run_trials, trial_keys)
+from .rng import (RngStream, _stream_uniforms, fold_keys, hash_thresholds,
+                  keyed_uniforms_2d, run_trials, trial_keys)
 
 TRIAL_USE_CAP = 10 ** 9
 _BLOCK0 = 32
@@ -137,10 +137,10 @@ class LazyCodebook:
     def block(self, messages, n0: int, length: int) -> np.ndarray:
         # symbols drawn on the raw hashes: the same as inverse-CDF sampling of
         # keyed_uniforms_2d (see hash_thresholds)
-        h = keyed_hashes_2d(self.key, messages, n0, length)
+        h = keyed_uniforms_2d(self.key, messages, n0, length, raw=True)
         if self.caid_cum.size == 2:  # binary input: single comparison
             return (h >= self._thresholds[0]).astype(np.int64)
-        return hash_symbols(h, self._thresholds)
+        return np.searchsorted(self._thresholds, h, side="right")
 
 
 @dataclass
@@ -384,7 +384,7 @@ def stop_feedback_many(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
         return hit
 
     # first block sized near the expected stopping time to minimize wasted work
-    expect = trial_length_bound(dmc, prior.entropy, gamma)
+    expect = (prior.entropy + gamma + dmc.a0) / dmc.C
     block0 = int(np.clip(32 * np.ceil(1.25 * expect / 32), _BLOCK0, _BLOCK_MAX))
     if full and prior.size >= _PRUNE_ROWS:
         tau, decoded, info_sum = _pruned_trials(dmc, thresholds, keys, w, block0)

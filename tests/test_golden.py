@@ -74,14 +74,14 @@ def test_jscc_record_does_not_depend_on_worker_count(name):
         f"{name}: workers=3 differs from the workers=1 golden record")
 
 
-# The full decoder's records must not depend on which of its two paths runs:
-# with the switch at 1 every full decoder is pruned, above the support cap none.
-@pytest.mark.parametrize("rows", [1, vlf.FULL_DECODER_MAX_SUPPORT + 1])
+# The full decoder's records must not depend on which of its two paths runs.
+# These priors are below _PRUNE_ROWS, so test_golden_record covers the batched
+# kernel; with the switch at 1 the pruned decoder runs them.
 @pytest.mark.parametrize("name", ["c11_jscc_excess", "jscc_average_k8_m64",
                                   "bench_small_m_stop_feedback_uniform"])
-def test_record_does_not_depend_on_the_pruning_switch(monkeypatch, name, rows):
-    monkeypatch.setattr(vlf, "_PRUNE_ROWS", rows)
+def test_record_does_not_depend_on_the_pruning_switch(monkeypatch, name):
+    monkeypatch.setattr(vlf, "_PRUNE_ROWS", 1)
     entry = RUNS[name]
     got = regen.compute_run(entry["config"], entry["workers"])
     assert regen.canonical(got) == regen.canonical(entry["record"]), (
-        f"{name}: record moved with _PRUNE_ROWS={rows}")
+        f"{name}: record moved with the pruned decoder")

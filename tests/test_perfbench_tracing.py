@@ -39,7 +39,7 @@ def test_install_wraps_the_traced_names_and_remove_restores_them():
         wrapped = {key for key, value in before.items() if after[key] is not value}
         assert {
             ("jsccsim.vlf", "stop_feedback_transmit"), ("jsccsim.vlf", "vlft_transmit"),
-            ("jsccsim.rng", "keyed_uniforms_2d"), ("jsccsim.vlf", "LazyCodebook", "block"),
+            ("jsccsim.vlf", "keyed_uniforms_2d"), ("jsccsim.vlf", "LazyCodebook", "block"),
             ("jsccsim.rng", "seed_stream"), ("jsccsim.rng", "RngStream", "derive"),
             ("jsccsim.rng", "RngStream", "uniforms_at"), ("jsccsim.rng", "RngStream", "normals"),
             ("jsccsim.channels", "Dmc", "__init__"), ("jsccsim.jscc", "LossyCodebook", "chunk"),

@@ -9,7 +9,7 @@ from jsccsim.channels import Dmc, bsc
 from jsccsim.jscc import LossyCodebook
 from jsccsim.ratedist import ba_rate_distortion, bernoulli_hamming
 from jsccsim.rng import (_GOLDEN, RngStream, _fold, _mix, _mix_int, _stream_uniforms, _unit,
-                         fold_keys, hash_thresholds, keyed_hashes_2d, keyed_uniforms_2d,
+                         fold_keys, hash_thresholds, keyed_uniforms_2d,
                          seed_stream, trial_keys)
 from jsccsim.vlf import LazyCodebook
 
@@ -183,7 +183,8 @@ def test_hash_thresholds_reproduce_the_float_compare_at_each_boundary(name):
                 continue
             h = np.array([mm << 11, (mm << 11) | 0x7FF], dtype=np.uint64)
             assert ((h >= np.uint64(t)) == (_unit(h.copy()) >= c)).all(), (name, c, mm - m)
-    h = keyed_hashes_2d(11, np.arange(64), 0, 64)
+    h = keyed_uniforms_2d(11, np.arange(64), 0, 64, raw=True)
+    assert np.array_equal(_unit(h.copy()), keyed_uniforms_2d(11, np.arange(64), 0, 64))
     assert np.array_equal(np.searchsorted(T, h, side="right"),
                           np.searchsorted(cum, _unit(h.copy()), side="right"))
 

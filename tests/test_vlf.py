@@ -360,13 +360,12 @@ def test_pruned_decoder_equals_the_batched_kernel(channel, kind, M, seed, trials
 @pytest.mark.parametrize("prune_rows", [1, vlf.FULL_DECODER_MAX_SUPPORT + 1])
 def test_both_full_decoder_paths_stop_at_the_use_cap(monkeypatch, prune_rows):
     prior, keys = uniform_prior(600), trial_keys(1, np.arange(2))
-    args = (bsc(0.11), prior, 200.0, "full_decoder", keys, prior.sample_many(keys))
+    dmc, gamma = bsc(0.11), 400.0
     monkeypatch.setattr(vlf, "_PRUNE_ROWS", prune_rows)
     monkeypatch.setattr(vlf, "TRIAL_USE_CAP", 40)
-    # gamma = 200 nats needs about 600 uses over BSC(0.11): the length bound
-    # rejects it up front, and without that check the trial stops at the cap
+    # gamma = 400 nats needs about 1200 uses over BSC(0.11): the length bound
+    # that the callers check rejects it, and a trial run anyway stops at the cap
     with pytest.raises(vlf.LengthBoundError, match="above the 40 cap"):
-        stop_feedback_many(*args)
-    monkeypatch.setattr(vlf, "trial_length_bound", lambda dmc, H, gamma: 40.0)
+        vlf.trial_length_bound(dmc, prior.entropy, gamma)
     with pytest.raises(RuntimeError, match="exceeded 40 channel uses"):
-        stop_feedback_many(*args)
+        stop_feedback_many(dmc, prior, gamma, "full_decoder", keys, prior.sample_many(keys))
