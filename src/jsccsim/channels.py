@@ -86,5 +86,6 @@ def bec(delta: float) -> Dmc:
 
 def dmc_steps(dmc: Dmc, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized outputs for inputs x and per-use uniforms u."""
-    # inverse-CDF per row: count of cumsum entries <= u
-    return (dmc.W_cum[x] <= u[..., None]).sum(axis=-1)
+    # inverse-CDF per row: count of cumsum entries <= u, without the last
+    # entry, so that a uniform at or above it gives the last output
+    return (dmc.W_cum[:, :-1][x] <= u[..., None]).sum(axis=-1)

@@ -20,7 +20,7 @@ import numpy as np
 from .channels import Dmc
 from .info import lattice_convolution, normal_tail_inv
 from .ratedist import RdSolution, brute_force_deps_entropy, source_expansion
-from .rng import (_stream_uniforms, fold_keys, half_width, hash_thresholds,
+from .rng import (_stream_uniforms, draw_symbols, fold_keys, half_width, hash_thresholds,
                   keyed_uniforms_2d, run_trials, trial_keys)
 from .vlf import (FULL_DECODER_MAX_SUPPORT, MessagePrior, stop_feedback_many,
                   trial_length_bound, vlft_many)
@@ -43,12 +43,12 @@ class LossyCodebook:
         self.M = int(M)
         # inverse-CDF sampling of the output marginal, on the raw hashes
         self._thresholds = hash_thresholds(np.cumsum(np.asarray(output_pmf,
-                                                                dtype=np.float64)))
+                                                                dtype=np.float64))[:-1])
 
     def chunk(self, start: int, count: int) -> np.ndarray:
         rows = np.arange(start, min(start + count, self.M))
-        h = keyed_uniforms_2d(self.key, rows, 0, self.k, raw=True)
-        return np.searchsorted(self._thresholds, h, side="right")
+        return draw_symbols(keyed_uniforms_2d(self.key, rows, 0, self.k, raw=True),
+                            self._thresholds)
 
 
 def dball_encode(s: np.ndarray, cb: LossyCodebook, d: float,
@@ -169,9 +169,11 @@ class PipelineStats:
 def source_blocks(master_seed: int, ids, pmf_cum: np.ndarray, k: int):
     """(stream keys, source blocks) of the trials ``ids``, one row each.  A
     block is counters [0, k) of its trial's stream; the trial's lossy codebook
-    takes sub-stream 3 (``fold_keys(keys, 3)``) and its channel code 4."""
+    takes sub-stream 3 (``fold_keys(keys, 3)``) and its channel code 4.  No
+    draw compares against the last entry of the cumulative pmf ``pmf_cum``,
+    so none falls past the alphabet."""
     keys = trial_keys(master_seed, ids)
-    return keys, np.searchsorted(pmf_cum, _stream_uniforms(keys, 0, k), side="right")
+    return keys, np.searchsorted(pmf_cum[:-1], _stream_uniforms(keys, 0, k), side="right")
 
 
 def _distortion(dm: np.ndarray, s: np.ndarray, cb: LossyCodebook, index: int) -> float:

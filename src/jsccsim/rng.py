@@ -15,9 +15,9 @@ int in [0, 2^64), and deriving a key, or drawing one value with
 The int ``_fold`` is the oracle of the vector fold.
 
 Codebooks draw their symbols from the raw hashes of (key, row, column),
-``keyed_uniforms_2d(..., raw=True)``, compared with ``hash_thresholds``:
-integer thresholds that give the same symbols as inverse-CDF sampling of
-the uniforms without converting a hash to a float.
+``keyed_uniforms_2d(..., raw=True)``, with ``draw_symbols``: it compares them
+with ``hash_thresholds``, integer thresholds that give the same symbols as
+inverse-CDF sampling of the uniforms without converting a hash to a float.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def keyed_uniforms_2d(key, rows, col_start, cols, raw: bool = False):
     generated infinite codewords reproducible without storage.
 
     ``raw=True`` returns the uint64 hashes that the uniforms are ``_unit`` of;
-    the symbol samplers compare them with ``hash_thresholds``.
+    the symbol samplers draw from them with ``draw_symbols``.
     """
     rows = np.asarray(rows, dtype=np.uint64)
     keys = np.asarray(key, dtype=np.uint64)[..., None]
@@ -148,6 +148,17 @@ def hash_thresholds(cum) -> np.ndarray:
             break
         out.append(m << 11)
     return np.array(out, dtype=np.uint64)
+
+
+def draw_symbols(h, thresholds: np.ndarray) -> np.ndarray:
+    """Symbols of the raw hashes h: the number of ``thresholds`` at or below
+    each hash.  With the thresholds of a cumulative pmf without its last
+    entry, ``hash_thresholds(cum[:-1])``, this is inverse-CDF sampling of the
+    uniforms, and no draw falls past the alphabet.  A binary alphabet, one
+    threshold, takes a single compare."""
+    if thresholds.size == 1:
+        return (h >= thresholds[0]).astype(np.int64)
+    return np.searchsorted(thresholds, h, side="right")
 
 
 class RngStream:

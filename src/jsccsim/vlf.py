@@ -6,15 +6,18 @@ distribution, generated lazily: symbol (message m, time n) is a pure function
 of (codebook key, m, n), so trials replay bit-exactly and the true-path and
 full-decoder modes of the same trial share their codewords and channel noise.
 
-Trials run in batches.  One block kernel, ``_running_sums``, advances the
-information-density sums of a batch of trials over (trials x rows x block)
-arrays and retires each trial when a stopping rule says so: the threshold
-crossing of stop-feedback (``stop_feedback_many``), one of the three VLFT
-rules (``vlft_many``), or the ``n_max`` cut of the length sum
-(``vlft_sum_many``).  Trial keys come from ``rng.trial_keys``, a vectorised
-fold over trial ids, messages from ``MessagePrior.sample_many``, and all
-trials of a batch share one block schedule, so every trial's numbers are
-those it gets when run alone.
+Trials run in batches.  One kernel, ``_running_sums``, advances the
+information-density sums of a batch of trials over (trials x rows x uses)
+arrays, _SUBSTEP uses at a time, and retires each trial at the end of the
+sub-step in which a stopping rule says so: the threshold crossing of
+stop-feedback (``stop_feedback_many``), one of the three VLFT rules
+(``vlft_many``), or the ``n_max`` cut of the length sum (``vlft_sum_many``).
+A schedule of blocks, 32 uses or more doubling to 512, fixes where the sums
+are carried and so their rounding; the sub-steps resume each block's cumsum
+and give its floats bit for bit.  Trial keys come from ``rng.trial_keys``, a
+vectorised fold over trial ids, messages from ``MessagePrior.sample_many``,
+and all trials of a batch share one block schedule, so every trial's numbers
+are those it gets when run alone.
 
 The full decoder of ``stop_feedback_many`` takes one of two paths by the
 prior's row count.  Below _PRUNE_ROWS = 512 rows it runs the batched kernel.
@@ -24,7 +27,7 @@ bit-identical to the kernel's (see notes/decisions.md).
 
 Codebook symbols are drawn on the raw uint64 hashes, compared with integer
 thresholds that reproduce inverse-CDF sampling of the uniforms exactly
-(``rng.hash_thresholds``).  ``stop_feedback_transmit`` and ``vlft_transmit``
+(``rng.draw_symbols``).  ``stop_feedback_transmit`` and ``vlft_transmit``
 send one given message as a batch of one; no simulator calls them, and they
 stay as the per-trial API of the tests and golden transcripts.
 """
@@ -39,14 +42,15 @@ import numpy as np
 from .channels import Dmc, dmc_steps
 from .info import entropy
 from .ratedist import source_expansion
-from .rng import (RngStream, _stream_uniforms, fold_keys, hash_thresholds,
+from .rng import (RngStream, _stream_uniforms, draw_symbols, fold_keys, hash_thresholds,
                   keyed_uniforms_2d, run_trials, trial_keys)
 
 TRIAL_USE_CAP = 10 ** 9
 _BLOCK0 = 32
 _BLOCK_MAX = 512
-# Working-set cap of the block kernel: (trial, row, column) cells per array of
-# one block step, and (trial, row) cells of the state of one batch.  A step
+# Working-set cap of the kernel: (trial, row, column) cells per array of one
+# sub-step, (trial, column) cells of the true rows' densities since the block
+# start, and (trial, row) cells of the state of one batch.  A chunk of trials
 # always takes at least one trial.
 _CELLS = 2 ** 17
 
@@ -58,7 +62,8 @@ FULL_DECODER_MAX_SUPPORT = 2 ** 20
 # bound-pruned decoder; below it the batched kernel is faster.  Set where the
 # measured per-trial times cross (see notes/decisions.md).
 _PRUNE_ROWS = 512
-# Uses per sub-step of the pruned decoder.
+# Uses per sub-step of the kernel and of the pruned decoder: a trial stops
+# paying for hashing at the end of the sub-step in which it stops.
 _SUBSTEP = 8
 
 
@@ -73,7 +78,9 @@ class MessagePrior:
             raise ValueError("prior must sum to 1")
         self.pmf = pmf / pmf.sum()
         self.self_info = -np.log(self.pmf)  # nats
-        self._cum = np.cumsum(self.pmf)
+        # the cumulative pmf without its last entry, which no draw compares
+        # against: a uniform at or above it would fall past the last message
+        self._cum = np.cumsum(self.pmf)[:-1]
         # a list: bisect on Python floats is the scalar searchsorted
         self.cum = self._cum.tolist()
 
@@ -93,13 +100,13 @@ class MessagePrior:
 
     def sample(self, rng: RngStream) -> int:
         """One message index, drawn with the stream's next uniform."""
-        return min(bisect_right(self.cum, rng.uniform()), self.size - 1)
+        return bisect_right(self.cum, rng.uniform())
 
     def sample_many(self, keys) -> np.ndarray:
         """``sample`` of a fresh stream for each key: one message per key,
         drawn with the stream's first uniform."""
         u = _stream_uniforms(keys, 0, 1)[:, 0]
-        return np.minimum(np.searchsorted(self._cum, u, side="right"), self.size - 1)
+        return np.searchsorted(self._cum, u, side="right")
 
 
 def uniform_prior(M: int) -> MessagePrior:
@@ -132,15 +139,13 @@ class LazyCodebook:
     def __init__(self, key, caid_cum: np.ndarray):
         self.key = key if isinstance(key, np.ndarray) else int(key)
         self.caid_cum = caid_cum
-        self._thresholds = hash_thresholds(caid_cum)
+        self._thresholds = hash_thresholds(caid_cum[:-1])
 
     def block(self, messages, n0: int, length: int) -> np.ndarray:
         # symbols drawn on the raw hashes: the same as inverse-CDF sampling of
         # keyed_uniforms_2d (see hash_thresholds)
-        h = keyed_uniforms_2d(self.key, messages, n0, length, raw=True)
-        if self.caid_cum.size == 2:  # binary input: single comparison
-            return (h >= self._thresholds[0]).astype(np.int64)
-        return np.searchsorted(self._thresholds, h, side="right")
+        return draw_symbols(keyed_uniforms_2d(self.key, messages, n0, length, raw=True),
+                            self._thresholds)
 
 
 @dataclass
@@ -161,9 +166,10 @@ def _batch_trials(rows: int) -> int:
 
 
 def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarray,
-                  block: int, stop, ids: np.ndarray, n_max: int | None = None):
+                  block: int, stop, ids: np.ndarray, n_max: int | None = None,
+                  history: bool = True):
     """Advance the running information-density sums of the trials ``ids``
-    block by block until ``stop`` retires each of them, or to ``n_max``
+    sub-step by sub-step until ``stop`` retires each of them, or to ``n_max``
     channel uses.
 
     Trial i has stream key keys[i] and sends row w_row[i] of its rows:
@@ -173,19 +179,32 @@ def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarra
     double up to _BLOCK_MAX; with ``n_max`` the last block is cut so the sums
     end there.  Every trial follows this one schedule.
 
+    A block only sets where a row's sum is carried: its sums are the carry
+    K, the row's sum over the uses before the block, plus the cumsum P of its
+    densities since the block started.  Within a block the trials advance in
+    sub-steps of _SUBSTEP uses, resuming P from the previous sub-step, and a
+    trial that stops leaves at the end of its sub-step; at the block's end
+    K += P.  These are the floats of one cumsum over the whole block (see
+    "Why sub-steps are exact" in notes/decisions.md).
+
     The trials run in batches whose (trial, row) state has at most _CELLS
-    cells, and each block of a batch in steps of at most _CELLS (trial, row,
-    column) cells; both take at least one trial.  Per step,
-    ``stop(idx, pos, n0, carry, D, S)`` gets the step's trials ``idx`` and
-    their positions ``pos`` in the batch, D[j, r, c] = row r's density at use
-    n0 + c + 1, carry[j, r] = its sum over the first n0 uses and
-    S = carry + cumsum(D); it returns which of the trials stop.
+    cells.  Each block of a batch runs in chunks of trials whose sub-step
+    arrays (trial, row, column) and, with ``history``, whose true-row
+    densities since the block start (trial, column) have at most _CELLS
+    cells each; both take at least one trial.  Per sub-step,
+    ``stop(idx, pos, n0, lo, S, K, H)`` gets the live trials ``idx`` of the
+    chunk, their positions ``pos`` in the batch, the block's first use n0,
+    the sub-step's first use lo and the sums S[j, r, c] of row r at use
+    lo + c + 1; it returns which of the trials stop.  With ``history``, K[j]
+    is the true row's carry and H[j, c] its density at use n0 + c + 1 for
+    every use of the block up to the sub-step's end (later columns are not
+    yet filled); without, both are None.
     """
     R = rows.shape[-1]
     cb_keys, noise_keys = fold_keys(keys, 1), fold_keys(keys, 2)
     batch = _batch_trials(R)
-    for lo in range(0, ids.size, batch):
-        batch_ids = ids[lo:lo + batch]
+    for b in range(0, ids.size, batch):
+        batch_ids = ids[b:b + batch]
         carry = np.zeros((batch_ids.size, R))
         live = np.arange(batch_ids.size)
         n0, size = 0, block
@@ -194,27 +213,44 @@ def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarra
                 raise RuntimeError(f"trial exceeded {TRIAL_USE_CAP} channel uses "
                                    f"(C={dmc.C}); check the configuration")
             length = size if n_max is None else min(size, n_max - n0)
-            step = max(1, _CELLS // (R * length))
+            sub = min(_SUBSTEP, length)
+            step = max(1, _CELLS // max(R * sub, length if history else 0))
             kept = []
             for a in range(0, live.size, step):
                 pos = live[a:a + step]
                 idx = batch_ids[pos]
-                X = LazyCodebook(cb_keys[idx], dmc.caid_cum).block(
-                    rows if rows.ndim == 1 else rows[idx], n0, length)
-                y = dmc_steps(dmc, X[np.arange(idx.size), w_row[idx]],
-                              _stream_uniforms(noise_keys[idx], n0, length))
-                D = dmc.log_density[X, y[:, None, :]]
-                # block-sized arrays set the peak memory at large M (and the
-                # thread count times the working set with workers): drop each
-                # as soon as it is used
-                del X
-                S = np.cumsum(D, axis=2)
-                c = carry[pos]
-                S += c[:, :, None]
-                done = stop(idx, pos, n0, c, D, S)
-                carry[pos] = S[:, :, -1]
-                kept.append(pos[~done])
-                del D, S
+                K, P = carry[pos], None
+                H = np.empty((pos.size, length)) if history else None
+                for lo in range(n0, n0 + length, sub):
+                    n = min(sub, n0 + length - lo)
+                    true = np.arange(idx.size), w_row[idx]
+                    X = LazyCodebook(cb_keys[idx], dmc.caid_cum).block(
+                        rows if rows.ndim == 1 else rows[idx], lo, n)
+                    y = dmc_steps(dmc, X[true], _stream_uniforms(noise_keys[idx], lo, n))
+                    S = dmc.log_density[X, y[:, None, :]]
+                    # sub-step arrays set the peak memory at large M (and the
+                    # thread count times the working set with workers): drop
+                    # each as soon as it is used
+                    del X
+                    if history:
+                        H[:, lo - n0:lo - n0 + n] = S[true]
+                    # resume the block's cumsum: S becomes P, then P + K
+                    if P is not None:
+                        S[:, :, 0] += P
+                    np.cumsum(S, axis=2, out=S)
+                    P = S[:, :, -1].copy()
+                    S += K[:, :, None]
+                    done = stop(idx, pos, n0, lo, S, K[true] if history else None, H)
+                    del S
+                    if done.any():
+                        keep = ~done
+                        pos, idx, K, P = pos[keep], idx[keep], K[keep], P[keep]
+                        if history:
+                            H = H[keep]
+                    if not pos.size:
+                        break
+                carry[pos] = K + P
+                kept.append(pos)
             live = np.concatenate(kept)
             n0 += length
             size = min(2 * size, _BLOCK_MAX)
@@ -315,11 +351,11 @@ def _catch_up(cb: LazyCodebook, ld: np.ndarray, y: np.ndarray, edges: list,
         b += 1
 
 
-def _true_sums(carry, D, j, w, col) -> list:
-    """carry[j, w] + D[j, w, :col + 1].sum() for each stopped trial: the
-    pairwise sum over a contiguous slice, as a trial run alone takes it."""
-    return [carry[a, b] + D[a, b, :c + 1].sum()
-            for a, b, c in zip(j.tolist(), w.tolist(), col.tolist())]
+def _true_sums(K, H, j, col) -> list:
+    """K[j] + H[j, :col + 1].sum() for each stopped trial j: the true row's
+    carry plus the pairwise sum of its densities from the block start, over
+    a contiguous slice, as a trial run alone takes it."""
+    return [K[a] + H[a, :c + 1].sum() for a, c in zip(j.tolist(), col.tolist())]
 
 
 def _batch_args(keys, w):
@@ -366,31 +402,33 @@ def stop_feedback_many(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
     rows = np.arange(prior.size) if full else w[:, None]
     thresholds = gamma + prior.self_info[rows]
 
-    def stop(idx, pos, n0, carry, D, S):
+    def stop(idx, pos, n0, lo, S, K, H):
         crossed = S >= (thresholds[:, None] if full else thresholds[idx][:, :, None])
         any_row = crossed.any(axis=1)
         hit = any_row.any(axis=1)
         j = np.flatnonzero(hit)
         col = any_row[j].argmax(axis=1)
         t = idx[j]
-        tau[t] = n0 + 1 + col
+        tau[t] = lo + 1 + col
         if full:
             # the earliest-crossing message, smallest index on ties, and the
             # true-path running sum at the decoder's stopping time
             decoded[t] = crossed[j, :, col].argmax(axis=1)
-            info_sum[t] = _true_sums(carry, D, j, w[t], col)
+            info_sum[t] = _true_sums(K, H, j, lo - n0 + col)
         else:
             info_sum[t] = S[j, 0, col]
         return hit
 
-    # first block sized near the expected stopping time to minimize wasted work
+    # The first block fixes where the sums are carried, and so the rounding
+    # of every sum after it: it stays at this size so that records stay
+    # bit-identical, while stopped trials leave at their sub-step's end.
     expect = (prior.entropy + gamma + dmc.a0) / dmc.C
     block0 = int(np.clip(32 * np.ceil(1.25 * expect / 32), _BLOCK0, _BLOCK_MAX))
     if full and prior.size >= _PRUNE_ROWS:
         tau, decoded, info_sum = _pruned_trials(dmc, thresholds, keys, w, block0)
     else:
         _running_sums(dmc, keys, rows, w if full else np.zeros_like(w), block0, stop,
-                      np.arange(w.size))
+                      np.arange(w.size), history=full)
     error = (decoded != w).astype(np.float64) if full else np.full(w.size, np.exp(-gamma))
     return tau, decoded, error, info_sum
 
@@ -480,7 +518,7 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
     elif decode_rule == "largest_at_stop":
         decoded[at0] = M - 1 - np.argmax(dom0[::-1])
 
-    def stop(idx, pos, n0, carry, D, S):
+    def stop(idx, pos, n0, lo, S, K, H):
         I = S - iw[:, None]
         wi = w[idx]
         if map_rule:
@@ -495,12 +533,12 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
         j = np.flatnonzero(hit)
         col = hits[j].argmax(axis=1)
         t = idx[j]
-        tau[t] = n0 + 1 + col
-        info_sum[t] = _true_sums(carry, D, j, w[t], col)
+        tau[t] = lo + 1 + col
+        info_sum[t] = _true_sums(K, H, j, lo - n0 + col)
         if decode_rule == "first_dominance":
-            fd = first_dom[pos] if n0 else np.tile(first_dom0, (idx.size, 1))
+            fd = first_dom[pos] if lo else np.tile(first_dom0, (idx.size, 1))
             newly = dom.any(axis=2) & (fd < 0)
-            fd[newly] = (n0 + 1 + dom.argmax(axis=2))[newly]
+            fd[newly] = (lo + 1 + dom.argmax(axis=2))[newly]
             first_dom[pos] = fd
             decoded[t] = (fd[j] == tau[t][:, None]).argmax(axis=1)
         elif decode_rule == "largest_at_stop":
@@ -521,10 +559,15 @@ def vlft_sum_many(dmc: Dmc, prior: MessagePrior, keys, w, n_max: int):
     iw = prior.self_info[w]
     total, last = np.ones(w.size), np.ones(w.size)  # n = 0 term: exp(-|0 - iw|+) = 1
 
-    def stop(idx, pos, n0, carry, D, S):
-        terms = np.exp(-np.maximum(S[:, 0] - iw[idx, None], 0.0))
-        total[idx] += terms.sum(axis=1)
-        last[idx] = terms[:, -1]
+    def stop(idx, pos, n0, lo, S, K, H):
+        if lo + S.shape[2] == n0 + H.shape[1]:
+            # the block's terms, from the true row's sums since the block
+            # start, summed at once as a whole-block step sums them
+            terms = np.cumsum(H, axis=1)
+            terms += K[:, None]
+            terms = np.exp(-np.maximum(terms - iw[idx, None], 0.0))
+            total[idx] += terms.sum(axis=1)
+            last[idx] = terms[:, -1]
         return np.zeros(idx.size, dtype=bool)
 
     _running_sums(dmc, keys, w[:, None], np.zeros_like(w), _BLOCK0, stop,

@@ -85,3 +85,29 @@ def test_record_does_not_depend_on_the_pruning_switch(monkeypatch, name):
     got = regen.compute_run(entry["config"], entry["workers"])
     assert regen.canonical(got) == regen.canonical(entry["record"]), (
         f"{name}: record moved with the pruned decoder")
+
+
+# The block kernel advances each block in sub-steps of _SUBSTEP uses; its
+# records must not depend on the sub-step size, from one use to a whole block.
+SUBSTEP_RUNS = ["c11_stop_feedback", "c11_vlft", "c11_jscc_guaranteed", "jscc_average_k8_m64"] \
+    + [name for name in RUNS if name.startswith("bench_small_m_")]
+SUBSTEP_CALLS = [name for name in CALLS if name.startswith("transcripts_")
+                 and name.endswith(("_bsc", "_dmc3"))]
+
+
+@pytest.mark.parametrize("substep", [1, 3, vlf._BLOCK_MAX])
+@pytest.mark.parametrize("name", SUBSTEP_RUNS)
+def test_record_does_not_depend_on_the_substep(monkeypatch, name, substep):
+    monkeypatch.setattr(vlf, "_SUBSTEP", substep)
+    entry = RUNS[name]
+    got = regen.compute_run(entry["config"], entry["workers"])
+    assert regen.canonical(got) == regen.canonical(entry["record"]), (
+        f"{name}: record moved with sub-steps of {substep} uses")
+
+
+@pytest.mark.parametrize("substep", [1, 3, vlf._BLOCK_MAX])
+@pytest.mark.parametrize("name", SUBSTEP_CALLS)
+def test_transcripts_do_not_depend_on_the_substep(monkeypatch, name, substep):
+    monkeypatch.setattr(vlf, "_SUBSTEP", substep)
+    assert repr(dict(regen.CALLS)[name]()) == CALLS[name], (
+        f"{name}: transcripts moved with sub-steps of {substep} uses")
