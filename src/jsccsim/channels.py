@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .rng import draw_cum
+
 _ROW_TOL = 1e-12
 
 BA_GAP_TOL = 1e-10
@@ -70,7 +72,8 @@ class Dmc:
         # log W(y|x) - log P_Y*(y), -inf on zero transitions
         with np.errstate(divide="ignore", invalid="ignore"):
             self.log_density = np.log(W) - np.log(caod)[None, :]
-        self.W_cum = np.cumsum(W, axis=1)
+        # the inverse-CDF compare values of each row (see rng.draw_cum)
+        self.W_cum = draw_cum(np.cumsum(W, axis=1))
 
     def __repr__(self):
         return f"Dmc({self.W.shape[0]}x{self.W.shape[1]}, C={self.C:.6f} nats)"
@@ -86,6 +89,4 @@ def bec(delta: float) -> Dmc:
 
 def dmc_steps(dmc: Dmc, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized outputs for inputs x and per-use uniforms u."""
-    # inverse-CDF per row: count of cumsum entries <= u, without the last
-    # entry, so that a uniform at or above it gives the last output
-    return (dmc.W_cum[:, :-1][x] <= u[..., None]).sum(axis=-1)
+    return (dmc.W_cum[x] <= u[..., None]).sum(axis=-1)

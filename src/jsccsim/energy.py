@@ -308,7 +308,6 @@ def lossy_energy_error_bound(src, k: int, d: float, M: int,
     # end-to-end simulation of the actual two-stage scheme
     L = _header_size(M)
     sd = _noise_sd(N0)
-    pmf_cum = np.cumsum(src.pmf)
     dm = src.distortion
 
     def trial(key, s, cb):
@@ -330,7 +329,7 @@ def lossy_energy_error_bound(src, k: int, d: float, M: int,
         return float((not hit) or dm[s, z].mean() > d + 1e-12)
 
     def shard(ids):
-        keys, S = source_blocks(master_seed, ids, pmf_cum, k)
+        keys, S = source_blocks(master_seed, ids, src.pmf, k)
         return [trial(key, s, LossyCodebook(cb_key, k, M, rd.output_pmf))
                 for key, s, cb_key in zip(keys.tolist(), S, fold_keys(keys, 3).tolist())]
 

@@ -25,7 +25,7 @@ from .jscc import (MATERIALIZE_MAX, average_codebook_size, naive_separation_boun
                    simulate_average, simulate_excess, simulate_guaranteed)
 from .ratedist import (ba_rate_distortion, bernoulli_hamming, discrete_source,
                        gaussian_source, source_expansion)
-from .rng import half_width, run_trials, seed_stream, trial_keys
+from .rng import run_trials, seed_stream, stat, trial_keys
 from .vlf import (FULL_DECODER_MAX_SUPPORT, STOP_FEEDBACK_MODES, VLFT_DECODE_RULES,
                   LengthBoundError, MessagePrior, geometric_prior,
                   stop_feedback_length_bound, stop_feedback_many, trial_length_bound,
@@ -178,10 +178,6 @@ def _check_seed(seed):
     return seed
 
 
-def _stat(x: np.ndarray):
-    return {"estimate": float(x.mean()), "half_width": half_width(x), "n": int(x.size)}
-
-
 def _rd(cfg: dict):
     """R(d) of the config's source at its d; a d outside the source's
     (d_min, d_max) is a ConfigError naming d."""
@@ -225,8 +221,8 @@ def _run_stop_feedback(cfg, workers):
         return np.column_stack((tau, error, info_sum))
 
     rows = run_trials(shard, trials, workers)
-    tau, err = _stat(rows[:, 0]), _stat(rows[:, 1])
-    metrics = {"tau": tau, "error": err, "info_sum_nats": _stat(rows[:, 2])}
+    tau, err = stat(rows[:, 0]), stat(rows[:, 1])
+    metrics = {"tau": tau, "error": err, "info_sum_nats": stat(rows[:, 2])}
     bounds = {
         "error_bound": float(np.exp(-gamma)),
         "length_bound": stop_feedback_length_bound(
@@ -257,8 +253,8 @@ def _run_vlft(cfg, workers):
         return np.column_stack((tau, error, error))
 
     rows = run_trials(shard, trials, workers)
-    metrics = {"tau": _stat(rows[:, 0]), "error": _stat(rows[:, 1]),
-               "anomalies": _stat(rows[:, 2])}
+    metrics = {"tau": stat(rows[:, 0]), "error": stat(rows[:, 1]),
+               "anomalies": stat(rows[:, 2])}
     bounds = {"entropy_over_C": prior.entropy / dmc.C}
     violations = []
     if rule == "map_stop" and metrics["error"]["estimate"] > 0:
@@ -288,20 +284,12 @@ def _run_jscc_excess(cfg, workers):
     if split is None and eps <= 1 / np.sqrt(k):
         raise ConfigError(f"invalid field: eps={eps} must exceed 1/sqrt(k)={1 / np.sqrt(k):.4g} "
                           "unless a split is given")
-    mode = cfg.get("mode")
-    if mode is not None:
-        mode = _choice(cfg, "mode", STOP_FEEDBACK_MODES)
-    st = simulate_excess(k, d, eps, dmc, rd, cfg["seed"], cfg["trials"],
-                         split=split, mode=mode, workers=workers)
-    metrics = {
-        "tau": {"estimate": st.ell_hat, "half_width": st.ell_half_width,
-                "n": st.trials},
-        "excess": {"estimate": st.failure_hat, "half_width": st.failure_half_width,
-                   "n": st.trials},
-    }
-    bounds = {"eps_target": eps, "expansion_length": st.config["expansion_ell"]}
+    metrics, extra = simulate_excess(k, d, eps, dmc, rd, cfg["seed"], cfg["trials"], split=split,
+                                     mode=_choice(cfg, "mode", STOP_FEEDBACK_MODES),
+                                     workers=workers)
+    bounds = {"eps_target": eps, "expansion_length": extra["expansion_ell"]}
     violations = []
-    if st.failure_hat > eps + 4 * st.failure_half_width / 1.96:
+    if metrics["excess"]["estimate"] > eps + 4 * _se(metrics["excess"]):
         violations.append("excess-distortion probability exceeds target beyond 4 SE")
     return RunRecord(cfg["kind"], cfg, metrics, bounds, violations)
 
@@ -321,14 +309,8 @@ def _run_jscc_average(cfg, workers):
         except ValueError as exc:
             raise ConfigError(f"invalid field: k={k}: {exc}") from exc
     M = _integer({"M": M}, "M", 1, min(FULL_DECODER_MAX_SUPPORT, MATERIALIZE_MAX // k))
-    st = simulate_average(k, d, dmc, rd, cfg["seed"], cfg["trials"], M=M, workers=workers)
-    metrics = {
-        "tau": {"estimate": st.ell_hat, "half_width": st.ell_half_width,
-                "n": st.trials},
-        "distortion": {"estimate": st.avg_distortion,
-                       "half_width": st.config["distortion_half_width"],
-                       "n": st.trials},
-    }
+    metrics, _ = simulate_average(k, d, dmc, rd, cfg["seed"], cfg["trials"], M=M,
+                                  workers=workers)
     return RunRecord(cfg["kind"], cfg, metrics, {"d_target": d})
 
 
@@ -337,14 +319,13 @@ def _run_jscc_guaranteed(cfg, workers):
     src = _model(cfg, "source")
     # the covering map is an exhaustive search over source blocks
     k, d = _integer(cfg, "k", 1, 4), _number(cfg, "d")
-    st = simulate_guaranteed(k, d, dmc, src, cfg["seed"], cfg["trials"],
-                             workers=workers)
-    metrics = {"tau": {"estimate": st.ell_hat, "half_width": st.ell_half_width,
-                       "n": st.trials},
-               "violations": {"estimate": st.failure_hat, "half_width": 0.0,
-                              "n": st.trials}}
-    bounds = {"deps_entropy_nats": st.config["map_entropy_nats"]}
-    return RunRecord(cfg["kind"], cfg, metrics, bounds)
+    metrics, extra = simulate_guaranteed(k, d, dmc, src, cfg["seed"], cfg["trials"],
+                                         workers=workers)
+    violations = []
+    if metrics["violations"]["estimate"] > 0:
+        violations.append("a reproduction exceeds the distortion target d")
+    return RunRecord(cfg["kind"], cfg, metrics,
+                     {"deps_entropy_nats": extra["map_entropy_nats"]}, violations)
 
 
 def _run_sk(cfg, workers):
@@ -377,8 +358,8 @@ def _run_energy_vl(cfg, workers):
     seed = cfg["seed"]
     rows = run_trials(lambda ids: table[prior.sample_many(trial_keys(seed, ids))],
                       cfg["trials"], workers)
-    metrics = {"correct": _stat(rows[:, 0]), "energy": _stat(rows[:, 1]),
-               "bits": _stat(rows[:, 2])}
+    metrics = {"correct": stat(rows[:, 0]), "energy": stat(rows[:, 1]),
+               "bits": stat(rows[:, 2])}
     bounds = {"energy_bound": N0 * LN2 * (prior.entropy / LN2 + 1.0),
               "entropy_nats": prior.entropy}
     violations = []
@@ -393,7 +374,7 @@ def _run_ppm(cfg, workers):
     if not E >= 0:
         raise ConfigError(f"invalid field: E={E} must be >= 0")
     errs = ppm_trials(E, m, N0, cfg["trials"], cfg["seed"])
-    err = _stat(errs)
+    err = stat(errs)
     bound = ppm_error_prob(E, m, N0)
     violations = []
     if abs(err["estimate"] - bound) > 4 * _se(err):
@@ -512,8 +493,8 @@ def record_to_dict(rec: RunRecord) -> dict:
 
 
 def _convert_units(rec_dict: dict, units: str) -> dict:
-    """units='bits': every key ending in _nats (and _nats2) is divided by
-    ln2 (squared for variances) and renamed."""
+    """units='bits': every key ending in _nats (or _nats2) is divided by
+    ln2 (ln2 squared for variances) and renamed to _bits (or _bits2)."""
     if units == "nats":
         return rec_dict
     if units != "bits":
@@ -525,15 +506,11 @@ def _convert_units(rec_dict: dict, units: str) -> dict:
             v = d[key]
             if isinstance(v, dict):
                 conv(v)
-            if key.endswith("_nats2"):
-                d[key.replace("_nats2", "_bits2")] = (
-                    {k2: (x / LN2 ** 2 if k2 in ("estimate", "half_width") else x)
-                     for k2, x in v.items()} if isinstance(v, dict) else v / LN2 ** 2)
-                del d[key]
-            elif key.endswith("_nats"):
+            if key.endswith(("_nats", "_nats2")):
+                scale = LN2 ** 2 if key.endswith("_nats2") else LN2
                 d[key.replace("_nats", "_bits")] = (
-                    {k2: (x / LN2 if k2 in ("estimate", "half_width") else x)
-                     for k2, x in v.items()} if isinstance(v, dict) else v / LN2)
+                    {k2: (x / scale if k2 in ("estimate", "half_width") else x)
+                     for k2, x in v.items()} if isinstance(v, dict) else v / scale)
                 del d[key]
     conv(out)
     return out

@@ -9,19 +9,22 @@ geometrics over source types) is computed analytically and used as the
 channel code's message prior.
 A pipeline's shard of trials draws its keys and source blocks at once
 (``source_blocks``), then runs the source coder and the channel code.
+
+Each ``simulate_*`` returns (metrics, extra).  ``metrics`` are the record's
+metrics, each an ``rng.stat`` of the per-trial values: {"tau", "excess"},
+{"tau", "distortion"} or {"tau", "violations"}.  ``extra`` holds the other
+values a caller reads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import Dmc
 from .info import lattice_convolution, normal_tail_inv
 from .ratedist import RdSolution, brute_force_deps_entropy, source_expansion
-from .rng import (_stream_uniforms, draw_symbols, fold_keys, half_width, hash_thresholds,
-                  keyed_uniforms_2d, run_trials, trial_keys)
+from .rng import (_stream_uniforms, draw_cum, draw_symbols, fold_keys, hash_thresholds,
+                  keyed_uniforms_2d, run_trials, stat, trial_keys)
 from .vlf import (FULL_DECODER_MAX_SUPPORT, MessagePrior, stop_feedback_many,
                   trial_length_bound, vlft_many)
 
@@ -42,8 +45,7 @@ class LossyCodebook:
         self.k = int(k)
         self.M = int(M)
         # inverse-CDF sampling of the output marginal, on the raw hashes
-        self._thresholds = hash_thresholds(np.cumsum(np.asarray(output_pmf,
-                                                                dtype=np.float64))[:-1])
+        self._thresholds = hash_thresholds(draw_cum(np.cumsum(output_pmf)))
 
     def chunk(self, start: int, count: int) -> np.ndarray:
         rows = np.arange(start, min(start + count, self.M))
@@ -152,28 +154,15 @@ def index_prior(type_probs: np.ndarray, pballs: np.ndarray, M: int) -> MessagePr
     return MessagePrior(pmf / pmf.sum())
 
 
-@dataclass
-class PipelineStats:
-    """Monte-Carlo summary of one end-to-end configuration."""
-
-    ell_hat: float               # average channel uses
-    ell_half_width: float        # 95% CI half-width
-    failure_hat: float           # excess / error / violation estimate
-    failure_half_width: float
-    avg_distortion: float
-    trials: int
-    mode: str
-    config: dict = field(default_factory=dict)
-
-
-def source_blocks(master_seed: int, ids, pmf_cum: np.ndarray, k: int):
+def source_blocks(master_seed: int, ids, pmf: np.ndarray, k: int):
     """(stream keys, source blocks) of the trials ``ids``, one row each.  A
     block is counters [0, k) of its trial's stream; the trial's lossy codebook
-    takes sub-stream 3 (``fold_keys(keys, 3)``) and its channel code 4.  No
-    draw compares against the last entry of the cumulative pmf ``pmf_cum``,
-    so none falls past the alphabet."""
+    takes sub-stream 3 (``fold_keys(keys, 3)``) and its channel code 4.  The
+    letters are inverse-CDF draws from ``pmf`` by ``draw_cum``'s rule, so
+    none has zero mass."""
     keys = trial_keys(master_seed, ids)
-    return keys, np.searchsorted(pmf_cum[:-1], _stream_uniforms(keys, 0, k), side="right")
+    return keys, np.searchsorted(draw_cum(np.cumsum(pmf)), _stream_uniforms(keys, 0, k),
+                                 side="right")
 
 
 def _distortion(dm: np.ndarray, s: np.ndarray, cb: LossyCodebook, index: int) -> float:
@@ -192,18 +181,18 @@ def default_budget_split(eps: float, k: int):
 
 
 def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
-                    master_seed: int, trials: int, split=None, mode: str | None = None,
-                    workers: int = 1) -> PipelineStats:
+                    master_seed: int, trials: int, split=None, mode: str = "full_decoder",
+                    workers: int = 1):
     """Excess-distortion pipeline: d-ball source code + stop-feedback channel
     code with the analytic index distribution as message prior.
 
-    The failure estimate counts source misses and channel decoding errors.
+    The excess estimate counts source misses and channel decoding errors.
     In true_path mode the channel error is accounted analytically as
-    exp(-gamma) instead of per-trial flags.
+    exp(-gamma) instead of per-trial flags.  ``extra`` holds the source
+    expansion over C (``expansion_ell``) and the analytic miss probability.
     """
-    if eps >= 1:
-        return PipelineStats(0.0, 0.0, min(eps, 1.0), 0.0, float("nan"),
-                             0, "degenerate", {"k": k, "d": d, "eps": eps})
+    if not 0 < eps < 1:
+        raise ValueError("eps must be in (0,1)")
     eps_src, eps_ch = split if split is not None else default_budget_split(eps, k)
     if eps_src <= 0 or eps_ch <= 0:
         raise ValueError("both budget components must be positive")
@@ -212,15 +201,12 @@ def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
     prior = index_prior(tp, pb, M)
     gamma = float(np.log(1.0 / eps_ch))
     trial_length_bound(dmc, prior.entropy, gamma)
-    if mode is None:
-        mode = "full_decoder" if M <= FULL_DECODER_MAX_SUPPORT else "true_path"
 
-    pmf_cum = np.cumsum(rd.source.pmf)
     dm = rd.source.distortion
 
     def shard(ids):
         # the source coder runs per trial, the channel code on the whole shard
-        keys, S = source_blocks(master_seed, ids, pmf_cum, k)
+        keys, S = source_blocks(master_seed, ids, rd.source.pmf, k)
         cbs = [LossyCodebook(key, k, M, rd.output_pmf) for key in fold_keys(keys, 3).tolist()]
         ws, hits = np.array([dball_encode(s, cb, d, dm) for s, cb in zip(S, cbs)]).T
         # in true_path mode the batch decodes w itself
@@ -228,21 +214,15 @@ def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
                                                  ws)
         dists = np.array([_distortion(dm, s, cb, dec)
                           for s, cb, dec in zip(S, cbs, decoded.tolist())])
-        return np.column_stack((taus, (hits == 0) | (dists > d + 1e-12), dists))
+        return np.column_stack((taus, (hits == 0) | (dists > d + 1e-12)))
 
-    taus, fails, dists = run_trials(shard, trials, workers).T
-    failure = fails.mean()
+    taus, fails = run_trials(shard, trials, workers).T
+    excess = stat(fails)
     if mode == "true_path":
-        failure += np.exp(-gamma)  # analytic channel-error allowance
-    return PipelineStats(
-        ell_hat=float(taus.mean()), ell_half_width=half_width(taus),
-        failure_hat=float(failure), failure_half_width=half_width(fails),
-        avg_distortion=float(dists[fails == 0].mean()) if (fails == 0).any() else float("nan"),
-        trials=trials, mode=mode,
-        config={"k": k, "d": d, "eps": eps, "split": (eps_src, eps_ch),
-                "M": M, "gamma_nats": gamma, "prior_entropy_nats": prior.entropy,
-                "analytic_miss": analytic_miss(tp, pb, M),
-                "expansion_ell": source_expansion(k, d, eps, rd) / dmc.C})
+        excess["estimate"] += float(np.exp(-gamma))  # analytic channel-error allowance
+    return {"tau": stat(taus), "excess": excess}, {
+        "expansion_ell": source_expansion(k, d, eps, rd) / dmc.C,
+        "analytic_miss": analytic_miss(tp, pb, M)}
 
 
 def average_codebook_size(k: int, rd: RdSolution) -> int:
@@ -257,12 +237,14 @@ def average_codebook_size(k: int, rd: RdSolution) -> int:
 
 def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
                      master_seed: int, trials: int, M: int | None = None,
-                     workers: int = 1) -> PipelineStats:
+                     workers: int = 1):
     """Average-distortion pipeline: min-distortion encoder over a random
     codebook, uniform-prior stop-feedback channel code with error budget
     k^(1/p - 2) = k^(-3/2), at Hoelder exponent p = 2.  Reports the end-to-end
     average distortion (channel errors included via the distortion of the
-    wrongly decoded codeword)."""
+    wrongly decoded codeword).  ``extra`` holds ``gamma_nats``, the channel
+    decoding errors (``error``) and the distortion of the encoded codeword
+    (``source_distortion``)."""
     if rd.source.unbounded_distortion:
         raise ValueError("average-distortion mode requires bounded distortion")
     if M is None:
@@ -276,11 +258,10 @@ def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
     prior = MessagePrior(np.full(M, 1.0 / M))
     trial_length_bound(dmc, prior.entropy, gamma)
 
-    pmf_cum = np.cumsum(rd.source.pmf)
     dm = rd.source.distortion
 
     def shard(ids):
-        keys, S = source_blocks(master_seed, ids, pmf_cum, k)
+        keys, S = source_blocks(master_seed, ids, rd.source.pmf, k)
         cbs = [LossyCodebook(key, k, M, rd.output_pmf) for key in fold_keys(keys, 3).tolist()]
         ws = np.array([min_distortion_encode(s, cb, dm) for s, cb in zip(S, cbs)])
         taus, decoded, errs, _ = stop_feedback_many(dmc, prior, gamma, "full_decoder",
@@ -290,28 +271,20 @@ def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
         return np.column_stack((taus, errs, dists))
 
     taus, errs, dists, src_dists = run_trials(shard, trials, workers).T
-    return PipelineStats(
-        ell_hat=float(taus.mean()), ell_half_width=half_width(taus),
-        failure_hat=float(errs.mean()), failure_half_width=half_width(errs),
-        avg_distortion=float(dists.mean()), trials=trials, mode="full_decoder",
-        config={"k": k, "d": d, "M": M, "gamma_nats": gamma,
-                "distortion_half_width": half_width(dists),
-                "source_distortion": float(src_dists.mean()),
-                "source_distortion_half_width": half_width(src_dists)})
+    return {"tau": stat(taus), "distortion": stat(dists)}, {
+        "gamma_nats": gamma, "error": stat(errs), "source_distortion": stat(src_dists)}
 
 
-def simulate_guaranteed(k: int, d: float, dmc: Dmc, rd, master_seed: int,
-                        trials: int, workers: int = 1) -> PipelineStats:
+def simulate_guaranteed(k: int, d: float, dmc: Dmc, src, master_seed: int,
+                        trials: int, workers: int = 1):
     """Guaranteed-distortion pipeline: the entropy-minimizing d-covering map
-    on S^k feeding the zero-error VLFT code.  Every trial must meet the
-    distortion target; a violation raises immediately.
-
-    Accepts an RdSolution or a bare SourceModel (the covering map only needs
-    the source; d may sit at or above d_max, where the rate is zero).
+    of the source ``src`` on S^k feeding the zero-error VLFT code.  Every
+    trial must meet the distortion target; the ``violations`` metric is the
+    share of trials that do not.  d may sit at or above d_max, where the
+    rate is zero.  ``extra`` holds the map's entropy (``map_entropy_nats``).
     """
     if k > 4:
         raise ValueError("guaranteed mode uses exhaustive covering maps; k <= 4")
-    src = rd.source if isinstance(rd, RdSolution) else rd
     H, assign = brute_force_deps_entropy(src, k, d, 0.0, return_map=True)
     ns, nz = src.distortion.shape
     pk = np.ones(1)
@@ -331,25 +304,16 @@ def simulate_guaranteed(k: int, d: float, dmc: Dmc, rd, master_seed: int,
     rep_digits = nz ** np.arange(k - 1, -1, -1)
     cw_table = (order[:, None] // rep_digits[None, :]) % nz
 
-    pmf_cum = np.cumsum(src.pmf)
     dm = src.distortion
 
     def shard(ids):
-        keys, S = source_blocks(master_seed, ids, pmf_cum, k)
+        keys, S = source_blocks(master_seed, ids, src.pmf, k)
         taus, decoded, _, _ = vlft_many(dmc, prior, fold_keys(keys, 4),
                                         w_of_block[S @ digits])
         return np.column_stack((taus, dm[S, cw_table[decoded]].mean(axis=1) > d + 1e-12))
 
     taus, violated = run_trials(shard, trials, workers).T
-    violations = int(violated.sum())
-    if violations:
-        raise AssertionError(f"guaranteed-distortion violated in {violations} trials")
-    return PipelineStats(
-        ell_hat=float(taus.mean()), ell_half_width=half_width(taus),
-        failure_hat=0.0, failure_half_width=0.0, avg_distortion=float("nan"),
-        trials=trials, mode="vlft",
-        config={"k": k, "d": d, "map_entropy_nats": H,
-                "prior_entropy_nats": prior.entropy})
+    return {"tau": stat(taus), "violations": stat(violated)}, {"map_entropy_nats": H}
 
 
 def naive_separation_bound(k: int, d: float, eps: float, C: float,

@@ -139,23 +139,36 @@ def hash_thresholds(cum) -> np.ndarray:
     top = (1 << 53) - 1
     out = []
     for c in np.asarray(cum, dtype=np.float64).tolist():
+        if c > 1:  # the largest uniform, (top + 0.5) * 2^-53, rounds to 1.0
+            break
         m = min(max(math.ceil(c * 2.0 ** 53 - 0.5), 0), top)
         while m > 0 and (m - 1 + 0.5) * _INV53 >= c:
             m -= 1
-        while m <= top and (m + 0.5) * _INV53 < c:
+        while (m + 0.5) * _INV53 < c:
             m += 1
-        if m > top:
-            break
         out.append(m << 11)
     return np.array(out, dtype=np.uint64)
 
 
+def draw_cum(cum) -> np.ndarray:
+    """The entries of the cumulative pmf ``cum`` (along its last axis) that
+    inverse-CDF sampling compares a uniform u with: the symbol drawn is the
+    number of them at or below u.  The entries from the last symbol of
+    positive mass on, which equal the total, are dropped: the last is cut
+    and the others become inf, per row of a 2-D ``cum``.  So no u, not even
+    the 1.0 of the top hash, draws a symbol of zero mass, and the other
+    entries are kept as they are."""
+    cum = np.asarray(cum, dtype=np.float64)
+    head = cum[..., :-1]
+    return np.where(head < cum[..., -1:], head, np.inf)
+
+
 def draw_symbols(h, thresholds: np.ndarray) -> np.ndarray:
     """Symbols of the raw hashes h: the number of ``thresholds`` at or below
-    each hash.  With the thresholds of a cumulative pmf without its last
-    entry, ``hash_thresholds(cum[:-1])``, this is inverse-CDF sampling of the
-    uniforms, and no draw falls past the alphabet.  A binary alphabet, one
-    threshold, takes a single compare."""
+    each hash.  With the thresholds ``hash_thresholds(draw_cum(cum))`` of a
+    cumulative pmf this is inverse-CDF sampling of the uniforms, and no draw
+    lands on a symbol of zero mass.  A binary alphabet, one threshold, takes
+    a single compare."""
     if thresholds.size == 1:
         return (h >= thresholds[0]).astype(np.int64)
     return np.searchsorted(thresholds, h, side="right")
@@ -232,3 +245,9 @@ def run_trials(fn, trials: int, workers: int = 1) -> np.ndarray:
 def half_width(x: np.ndarray) -> float:
     """95% normal-approximation half-width of the mean of x; 0.0 for one sample."""
     return float(1.96 * float(x.std(ddof=1)) / np.sqrt(x.size)) if x.size > 1 else 0.0
+
+
+def stat(x: np.ndarray) -> dict:
+    """The record metric of the samples x: their mean, its 95% half-width and
+    the sample count."""
+    return {"estimate": float(x.mean()), "half_width": half_width(x), "n": int(x.size)}

@@ -42,8 +42,8 @@ import numpy as np
 from .channels import Dmc, dmc_steps
 from .info import entropy
 from .ratedist import source_expansion
-from .rng import (RngStream, _stream_uniforms, draw_symbols, fold_keys, hash_thresholds,
-                  keyed_uniforms_2d, run_trials, trial_keys)
+from .rng import (RngStream, _stream_uniforms, draw_cum, draw_symbols, fold_keys,
+                  hash_thresholds, keyed_uniforms_2d, run_trials, trial_keys)
 
 TRIAL_USE_CAP = 10 ** 9
 _BLOCK0 = 32
@@ -78,9 +78,7 @@ class MessagePrior:
             raise ValueError("prior must sum to 1")
         self.pmf = pmf / pmf.sum()
         self.self_info = -np.log(self.pmf)  # nats
-        # the cumulative pmf without its last entry, which no draw compares
-        # against: a uniform at or above it would fall past the last message
-        self._cum = np.cumsum(self.pmf)[:-1]
+        self._cum = draw_cum(np.cumsum(self.pmf))
         # a list: bisect on Python floats is the scalar searchsorted
         self.cum = self._cum.tolist()
 
@@ -139,7 +137,7 @@ class LazyCodebook:
     def __init__(self, key, caid_cum: np.ndarray):
         self.key = key if isinstance(key, np.ndarray) else int(key)
         self.caid_cum = caid_cum
-        self._thresholds = hash_thresholds(caid_cum[:-1])
+        self._thresholds = hash_thresholds(draw_cum(caid_cum))
 
     def block(self, messages, n0: int, length: int) -> np.ndarray:
         # symbols drawn on the raw hashes: the same as inverse-CDF sampling of

@@ -184,9 +184,9 @@ def _excess_sweep():
     rd = ba_rate_distortion(bernoulli_hamming(0.5), 0.125)
     out = []
     for i, k in enumerate((8, 12, 16, 20)):
-        st = simulate_excess(k, 0.125, 0.1, ch, rd, 500 + i, 10 ** 4,
-                             split=(0.05, 0.05))
-        out.append((k, st))
+        metrics, _ = simulate_excess(k, 0.125, 0.1, ch, rd, 500 + i, 10 ** 4,
+                                     split=(0.05, 0.05))
+        out.append((k, metrics))
     return ch, rd, out
 
 
@@ -197,11 +197,11 @@ def test_c05_excess_pipeline_budget_and_log_growth():
     details = []
     ks = np.array([k for k, _ in stats], dtype=np.float64)
     gaps = []
-    for k, st in stats:
-        se = st.failure_half_width / 1.96
-        ok = ok and st.failure_hat <= eps + 4 * se
-        gaps.append(ch.C * st.ell_hat - (1 - eps) * k * rd.rate)
-        details.append(f"k={k}: excess={st.failure_hat:.4f} "
+    for k, m in stats:
+        se = m["excess"]["half_width"] / 1.96
+        ok = ok and m["excess"]["estimate"] <= eps + 4 * se
+        gaps.append(ch.C * m["tau"]["estimate"] - (1 - eps) * k * rd.rate)
+        details.append(f"k={k}: excess={m['excess']['estimate']:.4f} "
                        f"gap={gaps[-1]:.3f}")
     # regression gap ~ a + b log k + c sqrt(k): the sqrt(k) coefficient must
     # be statistically indistinguishable from zero at 95% (t-test with
@@ -244,10 +244,10 @@ def test_c06_guaranteed_distortion_zero_violations():
     a1s = []
     total = 0
     for i, seed in enumerate((601, 602, 603)):
-        st = simulate_guaranteed(2, 0.5, ch, src, seed, 33334)
-        total += st.trials
-        assert st.failure_hat == 0.0  # raises inside on any violation
-        a1s.append(ch.C * st.ell_hat - H)
+        m, _ = simulate_guaranteed(2, 0.5, ch, src, seed, 33334)
+        total += m["tau"]["n"]
+        assert m["violations"]["estimate"] == 0.0
+        a1s.append(ch.C * m["tau"]["estimate"] - H)
     a1s = np.array(a1s)
     mean = a1s.mean()
     stable = bool(np.all(np.abs(a1s - mean) <= 0.2 * abs(mean)))

@@ -8,12 +8,12 @@ import json
 import numpy as np
 import pytest
 
+from jsccsim import jscc
 from jsccsim.cli import main as cli_main
 from jsccsim.energy import IdealBitTransmitter, huffman_code, vl_feedback_energy_trial
-from jsccsim.harness import (ConfigError, _stat, emit, record_to_dict, run, sweep,
-                             validate)
+from jsccsim.harness import ConfigError, emit, record_to_dict, run, sweep, validate
 from jsccsim.info import LN2
-from jsccsim.rng import seed_stream
+from jsccsim.rng import seed_stream, stat
 from jsccsim.vlf import MessagePrior, geometric_prior
 
 SF_CFG = {
@@ -283,6 +283,45 @@ def test_cli_sweep_and_units(tmp_path, capsys):
     assert len(rows) == 2
 
 
+def test_cli_units_bits_scale_variances_by_ln2_squared(tmp_path):
+    cfg = {"source": {"kind": "bernoulli", "p": 0.3}, "d": 0.1}
+    nats = json.loads(emit([run({"kind": "bound", "which": "rd", **cfg})]))[0]["metrics"]
+    assert nats["dispersion_nats2"]["estimate"] > 0
+    path = tmp_path / "rd.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.json"
+    assert cli_main(["rd", "--config", str(path), "--units", "bits", "--out", str(out)]) == 0
+    bits = json.loads(out.read_text())[0]["metrics"]
+    assert set(bits) == {"rate_bits", "slope", "dispersion_bits2"}
+    assert bits["dispersion_bits2"]["estimate"] == nats["dispersion_nats2"]["estimate"] / LN2 ** 2
+    assert bits["rate_bits"]["estimate"] == nats["rate_nats"]["estimate"] / LN2
+
+
+def test_guaranteed_distortion_violation_exits_3_under_check_bounds(tmp_path, monkeypatch,
+                                                                    capsys):
+    """A decoder that returns the wrong reproduction breaks the guarantee: the
+    record lists the violation, and the CLI exits 3 only with --check-bounds."""
+    real = jscc.vlft_many
+
+    def wrong_message(dmc, prior, keys, w, *args):
+        taus, decoded, *rest = real(dmc, prior, keys, w, *args)
+        return (taus, (decoded + 1) % prior.size, *rest)
+
+    monkeypatch.setattr(jscc, "vlft_many", wrong_message)
+    path = tmp_path / "guaranteed.json"
+    path.write_text(json.dumps({"kind": "jscc_guaranteed", "channel": BSC, "source": BERN,
+                                "k": 2, "d": 0.5, "trials": 200, "seed": 1}))
+    out = tmp_path / "out.json"
+    assert cli_main(["sim-jscc", "--config", str(path), "--out", str(out),
+                     "--check-bounds"]) == 3
+    assert "bound violation: a reproduction exceeds the distortion target d" in \
+        capsys.readouterr().err
+    assert cli_main(["sim-jscc", "--config", str(path), "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())[0]
+    assert rec["violations"] == ["a reproduction exceeds the distortion target d"]
+    assert rec["metrics"]["violations"]["estimate"] > 0
+
+
 def test_seed_stream_contract():
     assert seed_stream(5, 0).key == seed_stream(5, 0).key
     assert seed_stream(5, 0).key != seed_stream(5, 1).key
@@ -392,5 +431,5 @@ def test_energy_vl_record_equals_its_per_trial_rows(prior, model):
     tx, words = IdealBitTransmitter(1.5), huffman_code(model)
     rows = np.array([vl_feedback_energy_trial(model, tx, seed_stream(21, t), words)
                      for t in range(cfg["trials"])], dtype=np.float64)
-    want = {name: _stat(rows[:, i]) for i, name in enumerate(("correct", "energy", "bits"))}
+    want = {name: stat(rows[:, i]) for i, name in enumerate(("correct", "energy", "bits"))}
     assert repr(run(cfg).metrics) == repr(want)

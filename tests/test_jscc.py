@@ -112,28 +112,27 @@ def test_budget_split_default_and_infeasible():
 
 
 def test_excess_degenerate_epsilon():
-    st = simulate_excess(8, 0.125, 1.0, bsc(0.11),
-                         ba_rate_distortion(bernoulli_hamming(0.5), 0.125),
-                         0, 10)
-    assert st.ell_hat == 0.0 and st.mode == "degenerate"
+    with pytest.raises(ValueError):
+        simulate_excess(8, 0.125, 1.0, bsc(0.11),
+                        ba_rate_distortion(bernoulli_hamming(0.5), 0.125), 0, 10)
 
 
 def test_excess_pipeline_meets_total_budget():
     ch = bsc(0.11)
     rd = ba_rate_distortion(bernoulli_hamming(0.5), 0.125)
-    st = simulate_excess(8, 0.125, 0.1, ch, rd, 41, 1200, split=(0.05, 0.05))
-    se = st.failure_half_width / 1.96
-    assert st.failure_hat <= 0.1 + 4 * se
-    assert st.ell_hat > 0
-    assert st.config["analytic_miss"] <= 0.05
+    m, extra = simulate_excess(8, 0.125, 0.1, ch, rd, 41, 1200, split=(0.05, 0.05))
+    se = m["excess"]["half_width"] / 1.96
+    assert m["excess"]["estimate"] <= 0.1 + 4 * se
+    assert m["tau"]["estimate"] > 0
+    assert extra["analytic_miss"] <= 0.05
 
 
 def test_excess_length_decreases_with_looser_target():
     ch = bsc(0.11)
     rd = ba_rate_distortion(bernoulli_hamming(0.5), 0.125)
-    tight = simulate_excess(8, 0.125, 0.1, ch, rd, 42, 800, split=(0.05, 0.05))
-    loose = simulate_excess(8, 0.125, 0.5, ch, rd, 42, 800, split=(0.25, 0.25))
-    assert loose.ell_hat < tight.ell_hat
+    tight, _ = simulate_excess(8, 0.125, 0.1, ch, rd, 42, 800, split=(0.05, 0.05))
+    loose, _ = simulate_excess(8, 0.125, 0.5, ch, rd, 42, 800, split=(0.25, 0.25))
+    assert loose["tau"]["estimate"] < tight["tau"]["estimate"]
 
 
 def test_interface_permutation_insensitivity():
@@ -162,23 +161,24 @@ def test_interface_permutation_insensitivity():
 def test_average_pipeline_distortion_decomposition_on_clean_channel():
     clean = bsc(1e-12)
     rd = ba_rate_distortion(bernoulli_hamming(0.5), 0.11)
-    st = simulate_average(8, 0.11, clean, rd, 43, 400, M=64)
+    m, extra = simulate_average(8, 0.11, clean, rd, 43, 400, M=64)
     # residual "errors" on a clean channel are codeword-prefix ties of the
     # random codebook, bounded by the budget exp(-gamma)
-    gamma = st.config["gamma_nats"]
-    se = st.failure_half_width / 1.96
-    assert st.failure_hat <= np.exp(-gamma) + 4 * se
+    gamma = extra["gamma_nats"]
+    err = extra["error"]
+    se = err["half_width"] / 1.96
+    assert err["estimate"] <= np.exp(-gamma) + 4 * se
     # decomposition: end-to-end distortion exceeds the source-only distortion
     # by at most the error rate times the maximum per-letter distortion
-    gap = st.avg_distortion - st.config["source_distortion"]
-    assert -1e-12 <= gap <= st.failure_hat + 1e-12
+    gap = m["distortion"]["estimate"] - extra["source_distortion"]["estimate"]
+    assert -1e-12 <= gap <= err["estimate"] + 1e-12
 
 
 def test_average_pipeline_source_distortion_matches_codebook_oracle():
     ch = bsc(0.11)
     k, M = 12, 256
     rd = ba_rate_distortion(bernoulli_hamming(0.5), 0.11)
-    st = simulate_average(k, 0.11, ch, rd, 44, 600, M=M)
+    _, extra = simulate_average(k, 0.11, ch, rd, 44, 600, M=M)
     # oracle: E over random codebooks and all 2^k sources of the minimum
     # Hamming distortion, via exhaustive popcount scan
     srcs = np.arange(2 ** k, dtype=np.uint32)
@@ -192,9 +192,9 @@ def test_average_pipeline_source_distortion_matches_codebook_oracle():
             np.minimum(dmin, pop[srcs ^ np.uint32(wv)], out=dmin)
         means.append(dmin.mean() / k)
     oracle = float(np.mean(means))
-    se = st.config["source_distortion_half_width"] / 1.96 + \
-        float(np.std(means, ddof=1) / np.sqrt(len(means)))
-    assert abs(st.config["source_distortion"] - oracle) < 4 * se
+    src = extra["source_distortion"]
+    se = src["half_width"] / 1.96 + float(np.std(means, ddof=1) / np.sqrt(len(means)))
+    assert abs(src["estimate"] - oracle) < 4 * se
 
 
 def test_average_pipeline_rejects_unbounded_distortion():
@@ -209,25 +209,25 @@ def test_average_pipeline_rejects_unbounded_distortion():
 def test_guaranteed_zero_violations_and_tiny_k_only():
     ch = bsc(0.11)
     src = bernoulli_hamming(0.5)
-    st = simulate_guaranteed(2, 0.5, ch, src, 46, 1500)
-    assert st.failure_hat == 0.0
-    assert st.config["map_entropy_nats"] == pytest.approx(
+    m, extra = simulate_guaranteed(2, 0.5, ch, src, 46, 1500)
+    assert m["violations"] == {"estimate": 0.0, "half_width": 0.0, "n": 1500}
+    assert extra["map_entropy_nats"] == pytest.approx(
         -(0.75 * np.log(0.75) + 0.25 * np.log(0.25)), abs=1e-9)
     with pytest.raises(ValueError):
         simulate_guaranteed(5, 0.5, ch, src, 0, 10)
 
 
 def test_guaranteed_trivial_radius_never_transmits():
-    st = simulate_guaranteed(2, 1.0, bsc(0.11), bernoulli_hamming(0.5), 0, 200)
-    assert st.ell_hat == 0.0 and st.failure_hat == 0.0
+    m, _ = simulate_guaranteed(2, 1.0, bsc(0.11), bernoulli_hamming(0.5), 0, 200)
+    assert m["tau"]["estimate"] == 0.0 and m["violations"]["estimate"] == 0.0
 
 
 def test_guaranteed_on_noiseless_channel():
     clean = bsc(1e-12)
-    st = simulate_guaranteed(2, 0.25, clean, bernoulli_hamming(0.5), 47, 300)
-    assert st.failure_hat == 0.0
+    m, _ = simulate_guaranteed(2, 0.25, clean, bernoulli_hamming(0.5), 47, 300)
+    assert m["violations"]["estimate"] == 0.0
     H = brute_force_deps_entropy(bernoulli_hamming(0.5), 2, 0.25, 0.0)
-    assert clean.C * st.ell_hat <= H + 3.0  # finite overhead constant
+    assert clean.C * m["tau"]["estimate"] <= H + 3.0  # finite overhead constant
 
 
 def test_naive_separation_bound_shapes():

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsccsim import jscc, vlf
-from jsccsim.channels import Dmc, bsc, dmc_steps
+from jsccsim.channels import Dmc, bec, bsc, dmc_steps
 from jsccsim.jscc import LossyCodebook, source_blocks
-from jsccsim.ratedist import ba_rate_distortion, bernoulli_hamming
+from jsccsim.ratedist import ba_rate_distortion, bernoulli_hamming, zero_rate_solution
 from jsccsim.rng import (_GOLDEN, RngStream, _fold, _mix, _mix_int, _stream_uniforms, _unit,
                          draw_symbols, fold_keys, hash_thresholds, keyed_uniforms_2d,
                          seed_stream, trial_keys)
@@ -221,22 +221,31 @@ def _unit_uniforms(keys, start, n):
 
 def test_no_draw_falls_past_the_alphabet_at_the_top_hash(monkeypatch):
     """The largest hash gives the uniform 1.0, at or above the last entry of
-    every cumulative pmf.  Every sampler draws its last symbol from it."""
+    every cumulative pmf.  Every sampler draws its last symbol of positive
+    mass from it, also where zero-mass symbols follow that one."""
     top = np.array([2 ** 64 - 1], dtype=np.uint64)
     assert _unit(top.copy()).tolist() == [1.0]
     # the last threshold of a full cumulative pmf is reachable
     assert hash_thresholds([0.5, 1.0])[-1] <= top[0]
     assert dmc_steps(bsc(0.11), np.array([0]), np.array([1.0])).tolist() == [1]
     assert dmc_steps(DMC3, np.array([0, 1, 2]), np.ones(3)).tolist() == [2, 2, 2]
-    for thresholds, size in ((LazyCodebook(0, bsc(0.11).caid_cum)._thresholds, 2),
-                             (LazyCodebook(0, DMC3.caid_cum)._thresholds, 3),
-                             (LossyCodebook(0, 4, 8, [0.5, 0.5])._thresholds, 2),
-                             (LossyCodebook(0, 4, 8, [0.2, 0.3, 0.5])._thresholds, 3)):
-        assert draw_symbols(top, thresholds).tolist() == [size - 1]
+    # W[0, 2] = 0 and W[1, 0] = 0 in the BEC
+    assert dmc_steps(bec(0.2), np.array([0, 1]), np.ones(2)).tolist() == [1, 2]
+    lossy_zero = zero_rate_solution(bernoulli_hamming(0.3), 0.5).output_pmf
+    assert lossy_zero.tolist() == [1.0, 0.0]
+    for thresholds, last in ((LazyCodebook(0, bsc(0.11).caid_cum)._thresholds, 1),
+                             (LazyCodebook(0, DMC3.caid_cum)._thresholds, 2),
+                             (LazyCodebook(0, np.cumsum([0.5, 0.5, 0.0]))._thresholds, 1),
+                             (LossyCodebook(0, 4, 8, [0.5, 0.5])._thresholds, 1),
+                             (LossyCodebook(0, 4, 8, [0.2, 0.3, 0.5])._thresholds, 2),
+                             (LossyCodebook(0, 4, 8, lossy_zero)._thresholds, 0)):
+        assert draw_symbols(top, thresholds).tolist() == [last]
     prior = MessagePrior([0.5, 0.3, 0.2])
     assert prior.sample(_UnitStream()) == 2
     monkeypatch.setattr(vlf, "_stream_uniforms", _unit_uniforms)
     monkeypatch.setattr(jscc, "_stream_uniforms", _unit_uniforms)
     assert prior.sample_many(np.arange(2, dtype=np.uint64)).tolist() == [2, 2]
-    _, S = source_blocks(0, np.arange(2), np.cumsum([0.5, 0.5]), 3)
+    _, S = source_blocks(0, np.arange(2), [0.5, 0.5], 3)
+    assert S.tolist() == [[1, 1, 1], [1, 1, 1]]
+    _, S = source_blocks(0, np.arange(2), [0.5, 0.5, 0.0], 3)
     assert S.tolist() == [[1, 1, 1], [1, 1, 1]]
