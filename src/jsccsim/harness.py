@@ -248,13 +248,13 @@ def _run_vlft(cfg, workers):
 
     def shard(ids):
         keys = trial_keys(seed, ids)
-        tau, _, error, _ = vlft_many(dmc, prior, keys, prior.sample_many(keys), rule)
-        # a decoding error of the VLFT rules is an anomaly
-        return np.column_stack((tau, error, error))
+        tau, _, error = vlft_many(dmc, prior, keys, prior.sample_many(keys), rule)
+        return np.column_stack((tau, error))
 
     rows = run_trials(shard, trials, workers)
+    # a decoding error of the VLFT rules is an anomaly
     metrics = {"tau": stat(rows[:, 0]), "error": stat(rows[:, 1]),
-               "anomalies": stat(rows[:, 2])}
+               "anomalies": stat(rows[:, 1])}
     bounds = {"entropy_over_C": prior.entropy / dmc.C}
     violations = []
     if rule == "map_stop" and metrics["error"]["estimate"] > 0:

@@ -29,10 +29,10 @@ def validate_pmf(p) -> np.ndarray:
 
 
 def entropy(p) -> float:
-    """Shannon entropy in nats; terms with p=0 contribute 0."""
+    """Shannon entropy in nats; terms with p=0 contribute 0, a point mass +0.0."""
     p = validate_pmf(p)
     nz = p[p > 0]
-    return float(-np.dot(nz, np.log(nz)))
+    return float(-np.dot(nz, np.log(nz)) + 0.0)
 
 
 def lattice_convolution(dist: dict, steps, times: int, cap: float = np.inf) -> dict:

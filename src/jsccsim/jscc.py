@@ -236,8 +236,7 @@ def average_codebook_size(k: int, rd: RdSolution) -> int:
 
 
 def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
-                     master_seed: int, trials: int, M: int | None = None,
-                     workers: int = 1):
+                     master_seed: int, trials: int, M: int, workers: int = 1):
     """Average-distortion pipeline: min-distortion encoder over a random
     codebook, uniform-prior stop-feedback channel code with error budget
     k^(1/p - 2) = k^(-3/2), at Hoelder exponent p = 2.  Reports the end-to-end
@@ -247,8 +246,6 @@ def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
     (``source_distortion``)."""
     if rd.source.unbounded_distortion:
         raise ValueError("average-distortion mode requires bounded distortion")
-    if M is None:
-        M = average_codebook_size(k, rd)
     if M < 1:
         raise ValueError("M must be at least 1")
     if M > FULL_DECODER_MAX_SUPPORT:
@@ -308,8 +305,7 @@ def simulate_guaranteed(k: int, d: float, dmc: Dmc, src, master_seed: int,
 
     def shard(ids):
         keys, S = source_blocks(master_seed, ids, src.pmf, k)
-        taus, decoded, _, _ = vlft_many(dmc, prior, fold_keys(keys, 4),
-                                        w_of_block[S @ digits])
+        taus, decoded, _ = vlft_many(dmc, prior, fold_keys(keys, 4), w_of_block[S @ digits])
         return np.column_stack((taus, dm[S, cw_table[decoded]].mean(axis=1) > d + 1e-12))
 
     taus, violated = run_trials(shard, trials, workers).T

@@ -255,7 +255,7 @@ def _entropy_of_assignment(pk, assign, nz):
     masses = np.zeros(nz)
     np.add.at(masses, assign, pk)
     nzm = masses[masses > 0]
-    return float(-np.dot(nzm, np.log(nzm)))
+    return float(-np.dot(nzm, np.log(nzm)) + 0.0)
 
 
 def _assignment_exhaustive(pk, dk, d, eps):

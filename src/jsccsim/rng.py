@@ -87,9 +87,7 @@ def _fold(key: int, word) -> int:
     word = int(word)
     if not 0 <= word <= _MASK64:
         raise OverflowError(f"stream word {word} out of bounds for uint64")
-    # _inner(word) written out: seed_stream folds twice per trial
-    inner = (_mix_int((word + _GOLDEN_INT) & _MASK64) + _GOLDEN_INT) & _MASK64
-    return _mix_int(key ^ inner)
+    return _mix_int(key ^ _inner(word))
 
 
 def fold_keys(keys, word: int) -> np.ndarray:

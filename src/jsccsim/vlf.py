@@ -17,7 +17,9 @@ are carried and so their rounding; the sub-steps resume each block's cumsum
 and give its floats bit for bit.  Trial keys come from ``rng.trial_keys``, a
 vectorised fold over trial ids, messages from ``MessagePrior.sample_many``,
 and all trials of a batch share one block schedule, so every trial's numbers
-are those it gets when run alone.
+are those it gets when run alone.  Only stop-feedback's full decoder and the
+length sum keep the true row's densities since the block start (the kernel's
+history); the VLFT rules read only the current sums and their own state.
 
 The full decoder of ``stop_feedback_many`` takes one of two paths by the
 prior's row count.  Below _PRUNE_ROWS = 512 rows it runs the batched kernel.
@@ -79,8 +81,6 @@ class MessagePrior:
         self.pmf = pmf / pmf.sum()
         self.self_info = -np.log(self.pmf)  # nats
         self._cum = draw_cum(np.cumsum(self.pmf))
-        # a list: bisect on Python floats is the scalar searchsorted
-        self.cum = self._cum.tolist()
 
     @property
     def size(self) -> int:
@@ -98,7 +98,7 @@ class MessagePrior:
 
     def sample(self, rng: RngStream) -> int:
         """One message index, drawn with the stream's next uniform."""
-        return bisect_right(self.cum, rng.uniform())
+        return int(np.searchsorted(self._cum, rng.uniform(), side="right"))
 
     def sample_many(self, keys) -> np.ndarray:
         """``sample`` of a fresh stream for each key: one message per key,
@@ -154,7 +154,7 @@ class Transcript:
     decoded: int | None
     tau: int                 # channel uses until the decoder's stop
     error: float             # 0/1 in full_decoder mode; exp(-gamma) in true_path
-    info_sum: float = float("nan")   # sum of true-path info densities up to tau
+    info_sum: float = float("nan")   # stop-feedback: true-path info density sum up to tau
     anomaly: bool = False            # VLFT decode-rule mismatch, logged not hidden
 
 
@@ -478,20 +478,21 @@ def vlft_transmit(dmc: Dmc, prior: MessagePrior, w: int, rng: RngStream,
     Those two are not zero-error on lattice-valued channels; any mismatch is
     counted as an anomaly, never silently dropped.  The true message's
     prefix-dominance time is recorded as tau for those rules.  A batch of one
-    of ``vlft_many``.
+    of ``vlft_many``; the transcript's ``info_sum`` stays NaN.
     """
-    tau, decoded, error, info_sum = vlft_many(dmc, prior, [rng.key], [w], decode_rule)
+    tau, decoded, error = vlft_many(dmc, prior, [rng.key], [w], decode_rule)
     return Transcript(true_message=w, decoded=int(decoded[0]), tau=int(tau[0]),
-                      error=float(error[0]), info_sum=float(info_sum[0]),
-                      anomaly=bool(error[0]))
+                      error=float(error[0]), anomaly=bool(error[0]))
 
 
 def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_stop"):
     """Zero-error VLFT trials with stream keys ``keys``, trial i transmitting
     message w[i]: the batched ``vlft_transmit``.
 
-    Returns (tau, decoded, error, info_sum) arrays; error is 1.0 where the
-    decoded message is not w, which is an anomaly of the dominance rules.
+    Returns (tau, decoded, error) arrays; error is 1.0 where the decoded
+    message is not w, which is an anomaly of the dominance rules.  The rules
+    read only the current sums and their own state, so the kernel keeps no
+    history.
     """
     if not prior.sorted_desc:
         raise ValueError("VLFT prior must be ordered by non-increasing probability")
@@ -507,7 +508,7 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
     i0 = -iw
     dom0 = i0 > np.concatenate(([-np.inf], np.maximum.accumulate(i0)[:-1]))
     at0 = w == np.argmax(i0) if map_rule else dom0[w]
-    tau, decoded, info_sum = np.zeros(w.size, np.int64), w.copy(), np.zeros(w.size)
+    tau, decoded = np.zeros(w.size, np.int64), w.copy()
     if decode_rule == "first_dominance":
         decoded[at0] = np.argmax(dom0)
         first_dom0 = np.where(dom0, 0, -1)
@@ -532,7 +533,6 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
         col = hits[j].argmax(axis=1)
         t = idx[j]
         tau[t] = lo + 1 + col
-        info_sum[t] = _true_sums(K, H, j, lo - n0 + col)
         if decode_rule == "first_dominance":
             fd = first_dom[pos] if lo else np.tile(first_dom0, (idx.size, 1))
             newly = dom.any(axis=2) & (fd < 0)
@@ -543,8 +543,9 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
             decoded[t] = M - 1 - dom[j, ::-1, col].argmax(axis=1)
         return hit
 
-    _running_sums(dmc, keys, np.arange(M), w, _BLOCK0, stop, np.flatnonzero(~at0))
-    return tau, decoded, (decoded != w).astype(np.float64), info_sum
+    _running_sums(dmc, keys, np.arange(M), w, _BLOCK0, stop, np.flatnonzero(~at0),
+                  history=False)
+    return tau, decoded, (decoded != w).astype(np.float64)
 
 
 def vlft_sum_many(dmc: Dmc, prior: MessagePrior, keys, w, n_max: int):

@@ -139,7 +139,7 @@ def _vlft_batch(M, seed, trials):
     ch = bsc(0.11)
     prior = uniform_prior(M)
     keys = trial_keys(seed, np.arange(trials))
-    taus, _, errs, _ = vlft_many(ch, prior, keys, prior.sample_many(keys))
+    taus, _, errs = vlft_many(ch, prior, keys, prior.sample_many(keys))
     return ch, prior, taus, int(np.count_nonzero(errs))
 
 

@@ -8,11 +8,13 @@ import json
 import numpy as np
 import pytest
 
-from jsccsim import jscc
+from jsccsim import harness, jscc
 from jsccsim.cli import main as cli_main
 from jsccsim.energy import IdealBitTransmitter, huffman_code, vl_feedback_energy_trial
 from jsccsim.harness import ConfigError, emit, record_to_dict, run, sweep, validate
 from jsccsim.info import LN2
+from jsccsim.jscc import average_codebook_size
+from jsccsim.ratedist import ba_rate_distortion, bernoulli_hamming
 from jsccsim.rng import seed_stream, stat
 from jsccsim.vlf import MessagePrior, geometric_prior
 
@@ -320,6 +322,93 @@ def test_guaranteed_distortion_violation_exits_3_under_check_bounds(tmp_path, mo
     rec = json.loads(out.read_text())[0]
     assert rec["violations"] == ["a reproduction exceeds the distortion target d"]
     assert rec["metrics"]["violations"]["estimate"] > 0
+
+
+def _add_to_item(index, amount):
+    """A breaker of a function that returns a tuple: adds ``amount`` to item
+    ``index`` of what it returns."""
+    def breaker(real):
+        def broken(*args, **kwargs):
+            out = list(real(*args, **kwargs))
+            out[index] = out[index] + amount
+            return tuple(out)
+        return broken
+    return breaker
+
+
+def _excess_of_one(real):
+    def broken(*args, **kwargs):
+        metrics, extra = real(*args, **kwargs)
+        return dict(metrics, excess=stat(np.ones(metrics["excess"]["n"]))), extra
+    return broken
+
+
+# ppm has no subcommand of its own; sweep without a grid runs any kind.
+@pytest.mark.parametrize("name, breaker, command, cfg, message", [
+    ("stop_feedback_many", _add_to_item(0, 1000), "sim-vlf", SF_CFG,
+     "mean length exceeds the stop-feedback bound beyond 4 SE"),
+    ("vlft_many", _add_to_item(2, 1.0), "sim-vlft", SIMULATED["vlft"],
+     "zero-error VLFT produced decoding errors"),
+    ("simulate_excess", _excess_of_one, "sim-jscc", EXCESS_CFG,
+     "excess-distortion probability exceeds target beyond 4 SE"),
+    ("send_word", _add_to_item(1, 100.0), "sim-energy", ENERGY_VL_CFG,
+     "mean energy not strictly below N0 ln2 (H+1)"),
+    ("ppm_error_prob", lambda real: lambda *args: real(*args) + 0.5, "sweep", PPM_CFG,
+     "PPM error rate disagrees with quadrature beyond 4 SE"),
+])
+def test_every_record_violation_exits_3_under_check_bounds(tmp_path, monkeypatch, capsys,
+                                                           name, breaker, command, cfg,
+                                                           message):
+    """Each check of a simulated number, broken at the name the harness calls,
+    lists its violation in the record; the CLI exits 3 only with
+    --check-bounds."""
+    monkeypatch.setattr(harness, name, breaker(getattr(harness, name)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.json"
+    assert cli_main([command, "--config", str(path), "--out", str(out),
+                     "--check-bounds"]) == 3
+    assert f"bound violation: {message}" in capsys.readouterr().err
+    assert cli_main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert message in json.loads(out.read_text())[0]["violations"]
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (dict(ENERGY_VL_CFG, prior={"kind": "uniform", "M": 1}), "entropy_nats"),
+    (dict(SIMULATED["vlft"], prior={"kind": "uniform", "M": 1}), "entropy_over_C"),
+    (dict(SIMULATED["jscc_guaranteed"], d=1.0), "deps_entropy_nats"),
+])
+def test_point_mass_entropies_are_emitted_as_positive_zero(cfg, field):
+    value = json.loads(emit([run(cfg)]))[0]["bounds"][field]
+    assert value == 0.0 and not np.signbit(value)
+
+
+def test_guaranteed_pipeline_at_k3_runs_the_greedy_covering_map():
+    """k=3 takes the greedy covering search; at d=1/3 its map is the covering
+    code {000, 111}, of entropy ln 2, and every trial meets d."""
+    rec = run(dict(SIMULATED["jscc_guaranteed"], k=3, d=1 / 3))
+    assert rec.bounds["deps_entropy_nats"] == np.log(2)
+    assert rec.metrics["violations"]["estimate"] == 0.0
+    assert rec.violations == []
+
+
+def test_jscc_average_without_m_runs_the_default_codebook_size():
+    cfg = {key: value for key, value in SIMULATED["jscc_average"].items() if key != "M"}
+    M = average_codebook_size(8, ba_rate_distortion(bernoulli_hamming(0.5), 0.11))
+    assert M == 124
+    default, explicit = run(cfg), run(dict(cfg, M=M))
+    assert (default.metrics, default.bounds) == (explicit.metrics, explicit.bounds)
+
+
+def test_cli_seed_and_trials_override_the_config_and_print_to_stdout(tmp_path, capsys):
+    path = tmp_path / "vlft.json"
+    path.write_text(json.dumps(SIMULATED["vlft"]))
+    assert cli_main(["sim-vlft", "--config", str(path), "--seed", "9",
+                     "--trials", "1200"]) == 0
+    rec = json.loads(capsys.readouterr().out)[0]
+    want = run(dict(SIMULATED["vlft"], seed=9, trials=1200))
+    assert (rec["config"]["seed"], rec["config"]["trials"]) == (9, 1200)
+    assert (rec["metrics"], rec["bounds"]) == (want.metrics, want.bounds)
 
 
 def test_seed_stream_contract():

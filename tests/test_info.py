@@ -16,6 +16,7 @@ def h2(p):
 def test_entropy_uniform_and_point_mass():
     assert entropy([0.25] * 4) == pytest.approx(np.log(4), abs=1e-15)
     assert entropy([1.0, 0.0, 0.0]) == 0.0
+    assert not np.signbit(entropy([1.0]))
 
 
 def test_entropy_bernoulli_011():

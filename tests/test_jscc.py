@@ -11,10 +11,10 @@ from jsccsim.jscc import (LossyCodebook, analytic_miss, ball_probability,
                           default_budget_split, index_prior,
                           min_distortion_encode, naive_separation_bound,
                           simulate_average, simulate_excess,
-                          simulate_guaranteed, type_ball_probs)
+                          simulate_guaranteed, source_blocks, type_ball_probs)
 from jsccsim.ratedist import (ba_rate_distortion, bernoulli_hamming,
                               brute_force_deps_entropy)
-from jsccsim.rng import seed_stream
+from jsccsim.rng import fold_keys, seed_stream
 from jsccsim.vlf import stop_feedback_transmit, uniform_prior
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -127,6 +127,23 @@ def test_excess_pipeline_meets_total_budget():
     assert extra["analytic_miss"] <= 0.05
 
 
+def test_excess_true_path_adds_the_analytic_channel_error_to_the_source_misses():
+    """In true_path mode the channel decodes w itself, so a trial fails only
+    on a source miss, and the channel error enters as exp(-gamma)."""
+    ch = bsc(0.11)
+    k, d, seed, trials = 8, 0.125, 11, 400
+    rd = ba_rate_distortion(bernoulli_hamming(0.5), d)
+    m, _ = simulate_excess(k, d, 0.1, ch, rd, seed, trials, split=(0.05, 0.05),
+                           mode="true_path")
+    tp, pb = type_ball_probs(rd, k, d)
+    M = choose_codebook_size(tp, pb, 0.05)
+    keys, S = source_blocks(seed, np.arange(trials), rd.source.pmf, k)
+    misses = np.array([not dball_encode(s, LossyCodebook(key, k, M, rd.output_pmf), d,
+                                        rd.source.distortion)[1]
+                       for s, key in zip(S, fold_keys(keys, 3).tolist())])
+    assert m["excess"]["estimate"] == misses.mean() + np.exp(-np.log(1 / 0.05))
+
+
 def test_excess_length_decreases_with_looser_target():
     ch = bsc(0.11)
     rd = ba_rate_distortion(bernoulli_hamming(0.5), 0.125)
@@ -203,7 +220,7 @@ def test_average_pipeline_rejects_unbounded_distortion():
     src = discrete_source([0.5, 0.5], [[0.0, np.inf], [1.0, 0.0]])
     rd = ba_rate_distortion(src, 0.4)
     with pytest.raises(ValueError):
-        simulate_average(4, 0.4, bsc(0.11), rd, 0, 10)
+        simulate_average(4, 0.4, bsc(0.11), rd, 0, 10, M=16)
 
 
 def test_guaranteed_zero_violations_and_tiny_k_only():

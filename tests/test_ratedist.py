@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from jsccsim.info import LN2, normal_tail_inv
-from jsccsim.ratedist import (ba_rate_distortion, bernoulli_hamming,
-                              brute_force_deps_entropy, d_min_max,
+from jsccsim.ratedist import (_assignment_exhaustive, _product_source, ba_rate_distortion,
+                              bernoulli_hamming, brute_force_deps_entropy, d_min_max,
                               discrete_source, gaussian_source, rate_dispersion,
                               source_expansion, tilted_information)
 from jsccsim.rng import seed_stream
@@ -188,6 +188,17 @@ def test_covering_entropy_matches_exhaustive_oracle():
     # the d=0.5 optimum is an unbalanced two-ball covering, below 1 bit
     assert brute_force_deps_entropy(src, 2, 0.5, 0.0) == pytest.approx(
         -(0.75 * np.log(0.75) + 0.25 * np.log(0.25)), abs=1e-9)
+
+
+def test_covering_entropy_greedy_search_closed_forms():
+    """At k=3 the 8^8 maps are past the exhaustive search, so the greedy
+    search runs.  Radius 1/3 is met by the covering code {000, 111}, an
+    equiprobable pair; radius 2/3 by one word, whose complement alone needs
+    a second, so the map's masses are 7/8 and 1/8."""
+    src = bernoulli_hamming(0.5)
+    assert _assignment_exhaustive(*_product_source(src, 3), 1 / 3, 0.0) is None
+    assert brute_force_deps_entropy(src, 3, 1 / 3, 0.0) == np.log(2)
+    assert brute_force_deps_entropy(src, 3, 2 / 3, 0.0) == h2(1 / 8)
 
 
 def test_covering_entropy_with_error_budget_never_higher():

@@ -265,10 +265,10 @@ def _single_row(kind, dmc, rng):
         return w, float(total[0]), float(last[0])
     if kind in vlf.STOP_FEEDBACK_MODES:
         tr = stop_feedback_transmit(dmc, PRIOR7, GAMMA, w, kind, rng)
-    else:
-        tr = vlft_transmit(dmc, PRIOR7, w, rng, kind)
-    decoded = tr.true_message if tr.decoded is None else tr.decoded
-    return tr.true_message, tr.tau, decoded, tr.error, tr.info_sum
+        decoded = tr.true_message if tr.decoded is None else tr.decoded
+        return tr.true_message, tr.tau, decoded, tr.error, tr.info_sum
+    tr = vlft_transmit(dmc, PRIOR7, w, rng, kind)
+    return tr.true_message, tr.tau, tr.decoded, tr.error
 
 
 def _rows_by_shard(kind, dmc, seed, trials, cuts):
