@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -161,9 +162,7 @@ def validate(config: dict) -> dict:
     if kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind: kind={kind!r}")
     if kind != "bound":
-        trials = _need(config, "trials")
-        if not isinstance(trials, int) or trials < 1:
-            raise ConfigError("invalid field: trials must be a positive integer")
+        trials = _integer(config, "trials", 1)
         if kind in _CI_KINDS and trials < MIN_TRIALS_FOR_CI:
             raise ConfigError(
                 f"invalid field: trials={trials} below the {MIN_TRIALS_FOR_CI} minimum "
@@ -263,14 +262,15 @@ def _run_vlft(cfg, workers):
 
 
 def _split(cfg) -> tuple:
-    """The (source, channel) error budget of jscc_excess: two finite numbers > 0."""
+    """The (source, channel) error budget of jscc_excess: two numbers in
+    (0, 1); a channel share of 1 or more would make gamma = ln(1/eps) <= 0."""
     raw = cfg["split"]
     try:
         split = tuple(float(x) for x in raw)
     except (TypeError, ValueError):
         split = ()
-    if len(split) != 2 or not all(0 < x < np.inf for x in split):
-        raise ConfigError(f"invalid field: split={raw!r} must be two finite numbers > 0")
+    if len(split) != 2 or not all(0 < x < 1 for x in split):
+        raise ConfigError(f"invalid field: split={raw!r} must be two numbers in (0, 1)")
     return split
 
 
@@ -471,19 +471,10 @@ def sweep(base: dict, grid: dict, workers: int = 1):
         raise ConfigError(f"sweep grid of {total} points exceeds the 10^4 cap")
     if not names:
         return [run(dict(base), workers)]
-    records = []
-    idx = 0
     master = _check_seed(base.get("seed", 0))
-    combos = ([(a,) for a in values[0]] if len(names) == 1
-              else [(a, b) for a in values[0] for b in values[1]])
-    for combo in combos:
-        cfg = dict(base)
-        for n, v in zip(names, combo):
-            cfg[n] = v
-        cfg["seed"] = int(seed_stream(master, idx).key % (2 ** 63))
-        records.append(run(cfg, workers))
-        idx += 1
-    return records
+    return [run({**base, **dict(zip(names, combo)),
+                 "seed": int(seed_stream(master, idx).key % (2 ** 63))}, workers)
+            for idx, combo in enumerate(itertools.product(*values))]
 
 
 def record_to_dict(rec: RunRecord) -> dict:

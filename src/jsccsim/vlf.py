@@ -17,9 +17,10 @@ are carried and so their rounding; the sub-steps resume each block's cumsum
 and give its floats bit for bit.  Trial keys come from ``rng.trial_keys``, a
 vectorised fold over trial ids, messages from ``MessagePrior.sample_many``,
 and all trials of a batch share one block schedule, so every trial's numbers
-are those it gets when run alone.  Only stop-feedback's full decoder and the
-length sum keep the true row's densities since the block start (the kernel's
-history); the VLFT rules read only the current sums and their own state.
+are those it gets when run alone.  A stopping rule reads only the sub-step's
+sums and its own state: stop-feedback reports the true row's sum at tau, the
+float its threshold test compared, and the length sum adds its terms one use
+at a time, in order.
 
 The full decoder of ``stop_feedback_many`` takes one of two paths by the
 prior's row count.  Below _PRUNE_ROWS = 512 rows it runs the batched kernel.
@@ -51,9 +52,8 @@ TRIAL_USE_CAP = 10 ** 9
 _BLOCK0 = 32
 _BLOCK_MAX = 512
 # Working-set cap of the kernel: (trial, row, column) cells per array of one
-# sub-step, (trial, column) cells of the true rows' densities since the block
-# start, and (trial, row) cells of the state of one batch.  A chunk of trials
-# always takes at least one trial.
+# sub-step and (trial, row) cells of the state of one batch.  A chunk of
+# trials always takes at least one trial.
 _CELLS = 2 ** 17
 
 STOP_FEEDBACK_MODES = ("full_decoder", "true_path")
@@ -154,7 +154,7 @@ class Transcript:
     decoded: int | None
     tau: int                 # channel uses until the decoder's stop
     error: float             # 0/1 in full_decoder mode; exp(-gamma) in true_path
-    info_sum: float = float("nan")   # stop-feedback: true-path info density sum up to tau
+    info_sum: float = float("nan")   # stop-feedback: the true row's running sum at tau
     anomaly: bool = False            # VLFT decode-rule mismatch, logged not hidden
 
 
@@ -164,8 +164,7 @@ def _batch_trials(rows: int) -> int:
 
 
 def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarray,
-                  block: int, stop, ids: np.ndarray, n_max: int | None = None,
-                  history: bool = True):
+                  block: int, stop, ids: np.ndarray, n_max: int | None = None):
     """Advance the running information-density sums of the trials ``ids``
     sub-step by sub-step until ``stop`` retires each of them, or to ``n_max``
     channel uses.
@@ -187,16 +186,11 @@ def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarra
 
     The trials run in batches whose (trial, row) state has at most _CELLS
     cells.  Each block of a batch runs in chunks of trials whose sub-step
-    arrays (trial, row, column) and, with ``history``, whose true-row
-    densities since the block start (trial, column) have at most _CELLS
-    cells each; both take at least one trial.  Per sub-step,
-    ``stop(idx, pos, n0, lo, S, K, H)`` gets the live trials ``idx`` of the
-    chunk, their positions ``pos`` in the batch, the block's first use n0,
-    the sub-step's first use lo and the sums S[j, r, c] of row r at use
-    lo + c + 1; it returns which of the trials stop.  With ``history``, K[j]
-    is the true row's carry and H[j, c] its density at use n0 + c + 1 for
-    every use of the block up to the sub-step's end (later columns are not
-    yet filled); without, both are None.
+    arrays (trial, row, column) have at most _CELLS cells; a chunk takes at
+    least one trial.  Per sub-step, ``stop(idx, pos, lo, S)`` gets the live
+    trials ``idx`` of the chunk, their positions ``pos`` in the batch, the
+    sub-step's first use lo and the sums S[j, r, c] of row r at use
+    lo + c + 1; it returns which of the trials stop.
     """
     R = rows.shape[-1]
     cb_keys, noise_keys = fold_keys(keys, 1), fold_keys(keys, 2)
@@ -212,39 +206,34 @@ def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarra
                                    f"(C={dmc.C}); check the configuration")
             length = size if n_max is None else min(size, n_max - n0)
             sub = min(_SUBSTEP, length)
-            step = max(1, _CELLS // max(R * sub, length if history else 0))
+            step = max(1, _CELLS // (R * sub))
             kept = []
             for a in range(0, live.size, step):
                 pos = live[a:a + step]
                 idx = batch_ids[pos]
                 K, P = carry[pos], None
-                H = np.empty((pos.size, length)) if history else None
                 for lo in range(n0, n0 + length, sub):
                     n = min(sub, n0 + length - lo)
-                    true = np.arange(idx.size), w_row[idx]
                     X = LazyCodebook(cb_keys[idx], dmc.caid_cum).block(
                         rows if rows.ndim == 1 else rows[idx], lo, n)
-                    y = dmc_steps(dmc, X[true], _stream_uniforms(noise_keys[idx], lo, n))
+                    y = dmc_steps(dmc, X[np.arange(idx.size), w_row[idx]],
+                                  _stream_uniforms(noise_keys[idx], lo, n))
                     S = dmc.log_density[X, y[:, None, :]]
                     # sub-step arrays set the peak memory at large M (and the
                     # thread count times the working set with workers): drop
                     # each as soon as it is used
                     del X
-                    if history:
-                        H[:, lo - n0:lo - n0 + n] = S[true]
                     # resume the block's cumsum: S becomes P, then P + K
                     if P is not None:
                         S[:, :, 0] += P
                     np.cumsum(S, axis=2, out=S)
                     P = S[:, :, -1].copy()
                     S += K[:, :, None]
-                    done = stop(idx, pos, n0, lo, S, K[true] if history else None, H)
+                    done = stop(idx, pos, lo, S)
                     del S
                     if done.any():
                         keep = ~done
                         pos, idx, K, P = pos[keep], idx[keep], K[keep], P[keep]
-                        if history:
-                            H = H[keep]
                     if not pos.size:
                         break
                 carry[pos] = K + P
@@ -268,7 +257,7 @@ def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.nda
     to N only if P[r] + K[r] + (N - n[r]) * d_max reaches its threshold less
     a rounding margin; no other row can cross by N (see "Why the pruned
     decoder is exact" in notes/decisions.md).  The true row is always brought
-    up, so its carry is the current block's.
+    up, so its sum at tau is the one the kernel's stop rule reads.
     """
     ld = dmc.log_density
     finite = ld[np.isfinite(ld)]
@@ -288,8 +277,7 @@ def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.nda
                 raise RuntimeError(f"trial exceeded {TRIAL_USE_CAP} channel uses "
                                    f"(C={dmc.C}); check the configuration")
             xw = cb.block([w], n0, size)[0]
-            y_blk = dmc_steps(dmc, xw, _stream_uniforms(noise_key, n0, size))
-            y = np.concatenate((y, y_blk))
+            y = np.concatenate((y, dmc_steps(dmc, xw, _stream_uniforms(noise_key, n0, size))))
             edges.append(n0 + size)
             for lo in range(n0, n0 + size, _SUBSTEP):
                 N = min(lo + _SUBSTEP, n0 + size)
@@ -298,11 +286,13 @@ def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.nda
                 live[w] = True
                 rows = np.flatnonzero(live)
                 starts = n[rows]
-                hit = None
+                a_w, hit = n[w], None
                 for a in np.unique(starts).tolist():
                     g = rows[starts == a]
                     S = _catch_up(cb, ld, y, edges, g, a, N, K, P)
                     n[g] = N
+                    if a == a_w:
+                        sw = S[np.searchsorted(g, w)]
                     crossed = S[:, lo - N:] >= thresholds[g, None]
                     col = crossed.any(axis=0)
                     if col.any():
@@ -310,8 +300,8 @@ def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.nda
                         first = (lo + 1 + c, int(g[crossed[:, c].argmax()]))
                         hit = first if hit is None else min(hit, first)
                 if hit is not None:
-                    # the true-path sum at tau, as _true_sums takes it
-                    return (*hit, K[w] + ld[xw, y_blk][:hit[0] - n0].sum())
+                    # the true row's sum at tau, the last column being use N
+                    return (*hit, sw[hit[0] - N - 1])
             n0 += size
             size = min(2 * size, _BLOCK_MAX)
 
@@ -349,13 +339,6 @@ def _catch_up(cb: LazyCodebook, ld: np.ndarray, y: np.ndarray, edges: list,
         b += 1
 
 
-def _true_sums(K, H, j, col) -> list:
-    """K[j] + H[j, :col + 1].sum() for each stopped trial j: the true row's
-    carry plus the pairwise sum of its densities from the block start, over
-    a contiguous slice, as a trial run alone takes it."""
-    return [K[a] + H[a, :c + 1].sum() for a, c in zip(j.tolist(), col.tolist())]
-
-
 def _batch_args(keys, w):
     """Stream keys and messages of a batch as uint64 and int64 arrays."""
     return np.asarray(keys, dtype=np.uint64), np.asarray(w, dtype=np.int64)
@@ -384,9 +367,11 @@ def stop_feedback_many(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
     message w[i]: the batched ``stop_feedback_transmit``.
 
     Returns (tau, decoded, error, info_sum) arrays, where info_sum is the
-    true-path running sum at tau.  In true_path mode decoded is w and error
-    is the analytic exp(-gamma).  A full decoder over _PRUNE_ROWS or more
-    messages runs ``_pruned_trials``, which gives the same arrays.
+    true row's running sum at tau, the float the threshold test compared; where
+    both modes stop at the same tau they report the same float.  In true_path
+    mode decoded is w and error is the analytic exp(-gamma).  A full decoder
+    over _PRUNE_ROWS or more messages runs ``_pruned_trials``, which gives
+    the same arrays.
     """
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -400,7 +385,7 @@ def stop_feedback_many(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
     rows = np.arange(prior.size) if full else w[:, None]
     thresholds = gamma + prior.self_info[rows]
 
-    def stop(idx, pos, n0, lo, S, K, H):
+    def stop(idx, pos, lo, S):
         crossed = S >= (thresholds[:, None] if full else thresholds[idx][:, :, None])
         any_row = crossed.any(axis=1)
         hit = any_row.any(axis=1)
@@ -409,12 +394,10 @@ def stop_feedback_many(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
         t = idx[j]
         tau[t] = lo + 1 + col
         if full:
-            # the earliest-crossing message, smallest index on ties, and the
-            # true-path running sum at the decoder's stopping time
+            # the earliest-crossing message, smallest index on ties
             decoded[t] = crossed[j, :, col].argmax(axis=1)
-            info_sum[t] = _true_sums(K, H, j, lo - n0 + col)
-        else:
-            info_sum[t] = S[j, 0, col]
+        # the true row's running sum at the decoder's stopping time
+        info_sum[t] = S[j, w[t] if full else 0, col]
         return hit
 
     # The first block fixes where the sums are carried, and so the rounding
@@ -426,7 +409,7 @@ def stop_feedback_many(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
         tau, decoded, info_sum = _pruned_trials(dmc, thresholds, keys, w, block0)
     else:
         _running_sums(dmc, keys, rows, w if full else np.zeros_like(w), block0, stop,
-                      np.arange(w.size), history=full)
+                      np.arange(w.size))
     error = (decoded != w).astype(np.float64) if full else np.full(w.size, np.exp(-gamma))
     return tau, decoded, error, info_sum
 
@@ -490,9 +473,7 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
     message w[i]: the batched ``vlft_transmit``.
 
     Returns (tau, decoded, error) arrays; error is 1.0 where the decoded
-    message is not w, which is an anomaly of the dominance rules.  The rules
-    read only the current sums and their own state, so the kernel keeps no
-    history.
+    message is not w, which is an anomaly of the dominance rules.
     """
     if not prior.sorted_desc:
         raise ValueError("VLFT prior must be ordered by non-increasing probability")
@@ -517,7 +498,7 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
     elif decode_rule == "largest_at_stop":
         decoded[at0] = M - 1 - np.argmax(dom0[::-1])
 
-    def stop(idx, pos, n0, lo, S, K, H):
+    def stop(idx, pos, lo, S):
         I = S - iw[:, None]
         wi = w[idx]
         if map_rule:
@@ -543,8 +524,7 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
             decoded[t] = M - 1 - dom[j, ::-1, col].argmax(axis=1)
         return hit
 
-    _running_sums(dmc, keys, np.arange(M), w, _BLOCK0, stop, np.flatnonzero(~at0),
-                  history=False)
+    _running_sums(dmc, keys, np.arange(M), w, _BLOCK0, stop, np.flatnonzero(~at0))
     return tau, decoded, (decoded != w).astype(np.float64)
 
 
@@ -558,15 +538,13 @@ def vlft_sum_many(dmc: Dmc, prior: MessagePrior, keys, w, n_max: int):
     iw = prior.self_info[w]
     total, last = np.ones(w.size), np.ones(w.size)  # n = 0 term: exp(-|0 - iw|+) = 1
 
-    def stop(idx, pos, n0, lo, S, K, H):
-        if lo + S.shape[2] == n0 + H.shape[1]:
-            # the block's terms, from the true row's sums since the block
-            # start, summed at once as a whole-block step sums them
-            terms = np.cumsum(H, axis=1)
-            terms += K[:, None]
-            terms = np.exp(-np.maximum(terms - iw[idx, None], 0.0))
-            total[idx] += terms.sum(axis=1)
-            last[idx] = terms[:, -1]
+    def stop(idx, pos, lo, S):
+        terms = np.exp(-np.maximum(S[:, 0] - iw[idx, None], 0.0))
+        last[idx] = terms[:, -1]
+        # added one by one in use order, so the totals do not depend on the
+        # sub-step size
+        terms[:, 0] += total[idx]
+        total[idx] = np.cumsum(terms, axis=1)[:, -1]
         return np.zeros(idx.size, dtype=bool)
 
     _running_sums(dmc, keys, w[:, None], np.zeros_like(w), _BLOCK0, stop,

@@ -4,13 +4,17 @@ which moves a number is seen even when it moves it the same way on every run.
     PYTHONPATH=src python tests/golden/regen.py
 
 rewrites ``tests/golden/records.json`` from the entries below.  Regenerate
-only in a change whose CHANGES.md entry names each field that moved and why.
+only in a change whose CHANGES.md entry names each field that moved and why;
+``regen.py --diff`` lists them and writes nothing: each moved record field
+with its old and new value, and each moved column of a call entry with how
+many rows moved.
 ``tests/test_golden.py`` recomputes every entry and compares it with the file
 exactly; floats are compared by their ``repr``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -197,6 +201,61 @@ def compute() -> dict:
     }
 
 
+def _value(text: str):
+    """A call entry's value read back from its repr."""
+    return eval(text, {"__builtins__": {}, "nan": math.nan, "inf": math.inf})
+
+
+def _moved(old, new, path: str) -> list:
+    """'path: old -> new' for each leaf of two records whose repr differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = list(old) + [k for k in new if k not in old]
+        return [line for k in keys for line in _moved(old.get(k), new.get(k), f"{path}.{k}")]
+    if isinstance(old, tuple) and isinstance(new, tuple) and len(old) == len(new):
+        return [line for i, (a, b) in enumerate(zip(old, new))
+                for line in _moved(a, b, f"{path}[{i}]")]
+    return [] if repr(old) == repr(new) else [f"{path}: {old!r} -> {new!r}"]
+
+
+def _moved_columns(old: list, new: list, name: str) -> list:
+    """For each column of two lists of rows, how many rows moved, and the
+    largest relative move of a finite float."""
+    if len(old) != len(new):
+        return [f"{name}: {len(old)} rows -> {len(new)}"]
+    lines = []
+    for c in range(len(old[0]) if old else 0):
+        pairs = [(a[c], b[c]) for a, b in zip(old, new) if repr(a[c]) != repr(b[c])]
+        if pairs:
+            rel = [abs(b / a - 1) for a, b in pairs if isinstance(a, float)
+                   and isinstance(b, float) and a and math.isfinite(a) and math.isfinite(b)]
+            lines.append(f"{name}[:, {c}]: {len(pairs)} of {len(old)} rows moved"
+                         + (f", max rel {max(rel):.2g}" if rel else ""))
+    return lines
+
+
+def diff(old: dict, new: dict) -> list:
+    """One line per moved record field and per moved column of a call entry
+    from the golden file ``old`` to ``new``; entries that only one of them
+    has are named too."""
+    lines = []
+    for part, body in (("runs", lambda e: e["record"]), ("calls", lambda e: _value(e["repr"]))):
+        was = {e["name"]: e for e in old[part]}
+        now = {e["name"]: e for e in new[part]}
+        lines += [f"{name}: only in the {'new' if name in now else 'old'} file"
+                  for name in [*was, *now] if (name in was) != (name in now)]
+        for name in (n for n in now if n in was and now[n] != was[n]):
+            a, b = body(was[name]), body(now[name])
+            lines += (_moved_columns(a, b, name) if isinstance(a, list) and isinstance(b, list)
+                      else _moved(a, b, name))
+    return lines
+
+
 if __name__ == "__main__":
-    PATH.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {PATH}")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="print what moved against the committed file and write nothing")
+    if parser.parse_args().diff:
+        print("\n".join(diff(json.loads(PATH.read_text()), compute())) or "nothing moved")
+    else:
+        PATH.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+        print(f"wrote {PATH}")

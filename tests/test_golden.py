@@ -5,6 +5,7 @@ configs and compared as canonical JSON text, so floats are compared by
 ``repr``.  See ``tests/golden/regen.py`` for when the file may be rewritten.
 """
 
+import copy
 import importlib.util
 import json
 from pathlib import Path
@@ -111,3 +112,17 @@ def test_transcripts_do_not_depend_on_the_substep(monkeypatch, name, substep):
     monkeypatch.setattr(vlf, "_SUBSTEP", substep)
     assert repr(dict(regen.CALLS)[name]()) == CALLS[name], (
         f"{name}: transcripts moved with sub-steps of {substep} uses")
+
+
+def test_regen_diff_names_each_moved_field_and_column():
+    assert regen.diff(GOLDEN, GOLDEN) == []
+    moved = copy.deepcopy(GOLDEN)
+    run0, call = moved["runs"][0], "transcripts_stop_feedback_full_decoder_bsc"
+    run0["record"]["metrics"]["tau"]["estimate"] += 1.0
+    rows = regen._value(CALLS[call])
+    rows[3] = (*rows[3][:3], rows[3][3] * (1 + 2.0 ** -52), rows[3][4])
+    next(e for e in moved["calls"] if e["name"] == call)["repr"] = repr(rows)
+    old_tau = GOLDEN["runs"][0]["record"]["metrics"]["tau"]["estimate"]
+    assert regen.diff(GOLDEN, moved) == [
+        f"{run0['name']}.metrics.tau.estimate: {old_tau!r} -> {old_tau + 1.0!r}",
+        f"{call}[:, 3]: 1 of {len(rows)} rows moved, max rel 2.2e-16"]

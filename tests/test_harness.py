@@ -471,6 +471,12 @@ def _no_trials(*args, **kwargs):
       for command, kind in (("sim-vlf", "stop_feedback"), ("sim-vlft", "vlft"),
                             ("sim-jscc", "jscc_excess"), ("sim-jscc", "jscc_average"),
                             ("sim-jscc", "jscc_guaranteed"))],
+    # a channel share of 1 or more gives gamma = ln(1/eps) <= 0
+    ("sim-jscc", r"split=\[0\.05, 1\.0\]", dict(EXCESS_CFG, split=[0.05, 1.0])),
+    # a bool is not an integer trial count
+    ("sim-jscc", "trials=True", dict(SIMULATED["jscc_guaranteed"], trials=True)),
+    ("sim-jscc", "trials=True", dict(SIMULATED["jscc_average"], trials=True)),
+    ("sim-sk", "trials=True", dict(SK_CFG, trials=True)),
 ])
 def test_simulator_domain_errors_are_config_errors_before_any_trial(tmp_path, monkeypatch,
                                                                      command, message, cfg):

@@ -310,6 +310,22 @@ def test_one_trial_steps_give_the_same_records(monkeypatch):
     assert vlf.vlft_length_via_sum(CHANNELS["dmc3"], PRIOR7, 9, 300, n_max=300) == want_sum
 
 
+@pytest.mark.parametrize("prune_rows", [vlf._PRUNE_ROWS, 1])
+@pytest.mark.parametrize("channel", list(CHANNELS))
+def test_full_decoder_reports_the_sum_its_threshold_test_saw(monkeypatch, channel, prune_rows):
+    """Where the full decoder stops at the true path's tau, its info_sum is
+    the true row's running sum, the float true_path mode reports too."""
+    dmc, prior = CHANNELS[channel], uniform_prior(16)
+    keys = trial_keys(7, np.arange(2000))
+    w = prior.sample_many(keys)
+    monkeypatch.setattr(vlf, "_PRUNE_ROWS", prune_rows)
+    tau, _, _, info_sum = stop_feedback_many(dmc, prior, GAMMA, "full_decoder", keys, w)
+    tau_tp, _, _, info_sum_tp = stop_feedback_many(dmc, prior, GAMMA, "true_path", keys, w)
+    same = tau == tau_tp
+    assert same.sum() > 1000
+    assert repr(info_sum[same].tolist()) == repr(info_sum_tp[same].tolist())
+
+
 def _kernel_rows(dmc, prior, gamma, keys, w, prune_rows):
     """(tau, decoded, error, info_sum) of full-decoder trials with the pruning
     switch at ``prune_rows``, as one repr."""
