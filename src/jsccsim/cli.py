@@ -57,6 +57,8 @@ def _load_config(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
     for key, value in zip(("kind", "which"), _SUBCOMMANDS[args.command]):
         if value is not None:
             cfg.setdefault(key, value)

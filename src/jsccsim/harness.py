@@ -462,10 +462,12 @@ _RUNNERS = {
 def sweep(base: dict, grid: dict, workers: int = 1):
     """Cartesian sweep over at most two config fields, row-major order;
     per-point seed derived as (master seed, point index)."""
+    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+        raise ConfigError(f"invalid field: grid={grid!r} must map fields to lists of values")
     if len(grid) > 2:
         raise ConfigError("sweep supports at most 2 parameters")
     names = list(grid)
-    values = [list(grid[n]) for n in names]
+    values = [grid[n] for n in names]
     total = int(np.prod([len(v) for v in values])) if names else 1
     if total > 10 ** 4:
         raise ConfigError(f"sweep grid of {total} points exceeds the 10^4 cap")

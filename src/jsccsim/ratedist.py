@@ -243,17 +243,13 @@ def _product_source(src: SourceModel, k: int):
     ns, nz = dm.shape
     if ns ** k > 4096 or nz ** k > 4096:
         raise ValueError(f"k={k} too large for exhaustive search (|S|^k must be <= 4096)")
-    src_seqs = list(itertools.product(range(ns), repeat=k))
-    rep_seqs = list(itertools.product(range(nz), repeat=k))
-    pk = np.array([np.prod([p[i] for i in s]) for s in src_seqs])
-    dk = np.array([[np.mean([dm[s[i], z[i]] for i in range(k)]) for z in rep_seqs]
-                   for s in src_seqs])
-    return pk, dk
+    S = np.array(list(itertools.product(range(ns), repeat=k)), dtype=np.intp)
+    Z = np.array(list(itertools.product(range(nz), repeat=k)), dtype=np.intp)
+    return p[S].prod(axis=1), dm[S[:, None], Z[None]].mean(axis=2)
 
 
 def _entropy_of_assignment(pk, assign, nz):
-    masses = np.zeros(nz)
-    np.add.at(masses, assign, pk)
+    masses = np.bincount(assign, weights=pk, minlength=nz)
     nzm = masses[masses > 0]
     return float(-np.dot(nzm, np.log(nzm)) + 0.0)
 

@@ -6,21 +6,22 @@ distribution, generated lazily: symbol (message m, time n) is a pure function
 of (codebook key, m, n), so trials replay bit-exactly and the true-path and
 full-decoder modes of the same trial share their codewords and channel noise.
 
-Trials run in batches.  One kernel, ``_running_sums``, advances the
-information-density sums of a batch of trials over (trials x rows x uses)
+Trials run in chunks.  One kernel, ``_running_sums``, advances the
+information-density sums of a chunk of trials over (trials x rows x uses)
 arrays, _SUBSTEP uses at a time, and retires each trial at the end of the
 sub-step in which a stopping rule says so: the threshold crossing of
 stop-feedback (``stop_feedback_many``), one of the three VLFT rules
-(``vlft_many``), or the ``n_max`` cut of the length sum (``vlft_sum_many``).
-A schedule of blocks, 32 uses or more doubling to 512, fixes where the sums
-are carried and so their rounding; the sub-steps resume each block's cumsum
-and give its floats bit for bit.  Trial keys come from ``rng.trial_keys``, a
-vectorised fold over trial ids, messages from ``MessagePrior.sample_many``,
-and all trials of a batch share one block schedule, so every trial's numbers
-are those it gets when run alone.  A stopping rule reads only the sub-step's
-sums and its own state: stop-feedback reports the true row's sum at tau, the
-float its threshold test compared, and the length sum adds its terms one use
-at a time, in order.
+(``vlft_many``), or use n_max of the length sum (``vlft_sum_many``), whose
+rule keeps only the terms up to it.  One schedule of blocks (``_blocks``),
+32 uses or more doubling to 512, fixes where the sums are carried and so
+their rounding; the sub-steps resume each block's cumsum and give its
+floats bit for bit.  Trial keys come from ``rng.trial_keys``, a vectorised
+fold over trial ids, messages from ``MessagePrior.sample_many``, and every
+trial follows the one block schedule, so its numbers are those it gets when
+run alone.  A stopping rule reads only the sub-step's sums and its own
+state: stop-feedback reports the true row's sum at tau, the float its
+threshold test compared, and the length sum adds its terms one use at a
+time, in order.
 
 The full decoder of ``stop_feedback_many`` takes one of two paths by the
 prior's row count.  Below _PRUNE_ROWS = 512 rows it runs the batched kernel.
@@ -52,8 +53,7 @@ TRIAL_USE_CAP = 10 ** 9
 _BLOCK0 = 32
 _BLOCK_MAX = 512
 # Working-set cap of the kernel: (trial, row, column) cells per array of one
-# sub-step and (trial, row) cells of the state of one batch.  A chunk of
-# trials always takes at least one trial.
+# sub-step of a chunk of trials.  A chunk always takes at least one trial.
 _CELLS = 2 ** 17
 
 STOP_FEEDBACK_MODES = ("full_decoder", "true_path")
@@ -158,89 +158,84 @@ class Transcript:
     anomaly: bool = False            # VLFT decode-rule mismatch, logged not hidden
 
 
-def _batch_trials(rows: int) -> int:
-    """Trials per batch of the kernel: a (trial, row) state of at most _CELLS."""
-    return max(1, _CELLS // rows)
+def _chunk_trials(rows: int) -> int:
+    """Trials per chunk of the kernel: sub-step arrays of at most _CELLS cells."""
+    return max(1, _CELLS // (rows * _SUBSTEP))
+
+
+def _blocks(dmc: Dmc, block: int):
+    """The block schedule, (first use, length) pairs: blocks of ``block`` uses
+    doubling up to _BLOCK_MAX, until a trial passes TRIAL_USE_CAP uses."""
+    n0, size = 0, block
+    while True:
+        if n0 > TRIAL_USE_CAP:
+            raise RuntimeError(f"trial exceeded {TRIAL_USE_CAP} channel uses "
+                               f"(C={dmc.C}); check the configuration")
+        yield n0, size
+        n0 += size
+        size = min(2 * size, _BLOCK_MAX)
 
 
 def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarray,
-                  block: int, stop, ids: np.ndarray, n_max: int | None = None):
+                  block: int, stop, ids: np.ndarray):
     """Advance the running information-density sums of the trials ``ids``
-    sub-step by sub-step until ``stop`` retires each of them, or to ``n_max``
-    channel uses.
+    sub-step by sub-step until ``stop`` retires each of them.
 
     Trial i has stream key keys[i] and sends row w_row[i] of its rows:
     ``rows`` is one row list shared by every trial (shape (R,)) or one per
     trial (shape (T, R)).  Codewords come from sub-stream 1 of each trial and
-    channel noise from sub-stream 2.  Blocks start at ``block`` uses and
-    double up to _BLOCK_MAX; with ``n_max`` the last block is cut so the sums
-    end there.  Every trial follows this one schedule.
+    channel noise from sub-stream 2.  Every trial follows the block schedule
+    of ``_blocks``.
 
-    A block only sets where a row's sum is carried: its sums are the carry
-    K, the row's sum over the uses before the block, plus the cumsum P of its
-    densities since the block started.  Within a block the trials advance in
-    sub-steps of _SUBSTEP uses, resuming P from the previous sub-step, and a
-    trial that stops leaves at the end of its sub-step; at the block's end
-    K += P.  These are the floats of one cumsum over the whole block (see
-    "Why sub-steps are exact" in notes/decisions.md).
-
-    The trials run in batches whose (trial, row) state has at most _CELLS
-    cells.  Each block of a batch runs in chunks of trials whose sub-step
-    arrays (trial, row, column) have at most _CELLS cells; a chunk takes at
-    least one trial.  Per sub-step, ``stop(idx, pos, lo, S)`` gets the live
-    trials ``idx`` of the chunk, their positions ``pos`` in the batch, the
-    sub-step's first use lo and the sums S[j, r, c] of row r at use
-    lo + c + 1; it returns which of the trials stop.
+    The trials run in chunks of ``_chunk_trials(R)``, whose sub-step arrays
+    (trial, row, column) have at most _CELLS cells; a chunk takes at least
+    one trial and runs its blocks until its last trial stops.  A block only
+    sets where a row's sum is carried: its sums are the carry K, the row's
+    sum over the uses before the block, plus the cumsum P of its densities
+    since the block started.  Within a block a chunk advances in sub-steps of
+    _SUBSTEP uses, resuming P from the previous sub-step, and a trial that
+    stops leaves at the end of its sub-step; at the block's end K += P.
+    These are the floats of one cumsum over the whole block (see "Why
+    sub-steps are exact" in notes/decisions.md).  Per sub-step,
+    ``stop(idx, pos, lo, S)`` gets the live trials ``idx`` of the chunk,
+    their positions ``pos`` in the chunk, the sub-step's first use lo and
+    the sums S[j, r, c] of row r at use lo + c + 1; it returns which of the
+    trials stop.
     """
     R = rows.shape[-1]
     cb_keys, noise_keys = fold_keys(keys, 1), fold_keys(keys, 2)
-    batch = _batch_trials(R)
-    for b in range(0, ids.size, batch):
-        batch_ids = ids[b:b + batch]
-        carry = np.zeros((batch_ids.size, R))
-        live = np.arange(batch_ids.size)
-        n0, size = 0, block
-        while live.size and (n_max is None or n0 < n_max):
-            if n0 > TRIAL_USE_CAP:
-                raise RuntimeError(f"trial exceeded {TRIAL_USE_CAP} channel uses "
-                                   f"(C={dmc.C}); check the configuration")
-            length = size if n_max is None else min(size, n_max - n0)
-            sub = min(_SUBSTEP, length)
-            step = max(1, _CELLS // (R * sub))
-            kept = []
-            for a in range(0, live.size, step):
-                pos = live[a:a + step]
-                idx = batch_ids[pos]
-                K, P = carry[pos], None
-                for lo in range(n0, n0 + length, sub):
-                    n = min(sub, n0 + length - lo)
-                    X = LazyCodebook(cb_keys[idx], dmc.caid_cum).block(
-                        rows if rows.ndim == 1 else rows[idx], lo, n)
-                    y = dmc_steps(dmc, X[np.arange(idx.size), w_row[idx]],
-                                  _stream_uniforms(noise_keys[idx], lo, n))
-                    S = dmc.log_density[X, y[:, None, :]]
-                    # sub-step arrays set the peak memory at large M (and the
-                    # thread count times the working set with workers): drop
-                    # each as soon as it is used
-                    del X
-                    # resume the block's cumsum: S becomes P, then P + K
-                    if P is not None:
-                        S[:, :, 0] += P
-                    np.cumsum(S, axis=2, out=S)
-                    P = S[:, :, -1].copy()
-                    S += K[:, :, None]
-                    done = stop(idx, pos, lo, S)
-                    del S
-                    if done.any():
-                        keep = ~done
-                        pos, idx, K, P = pos[keep], idx[keep], K[keep], P[keep]
-                    if not pos.size:
+    chunk = _chunk_trials(R)
+    for c in range(0, ids.size, chunk):
+        idx = ids[c:c + chunk]
+        pos, K = np.arange(idx.size), np.zeros((idx.size, R))
+        for n0, length in _blocks(dmc, block):
+            P = np.zeros_like(K)
+            for lo in range(n0, n0 + length, _SUBSTEP):
+                n = min(_SUBSTEP, n0 + length - lo)
+                X = LazyCodebook(cb_keys[idx], dmc.caid_cum).block(
+                    rows if rows.ndim == 1 else rows[idx], lo, n)
+                y = dmc_steps(dmc, X[np.arange(idx.size), w_row[idx]],
+                              _stream_uniforms(noise_keys[idx], lo, n))
+                S = dmc.log_density[X, y[:, None, :]]
+                # sub-step arrays set the peak memory at large M (and the
+                # thread count times the working set with workers): drop
+                # each as soon as it is used
+                del X
+                # resume the block's cumsum: S becomes P, then P + K
+                S[:, :, 0] += P
+                np.cumsum(S, axis=2, out=S)
+                P = S[:, :, -1].copy()
+                S += K[:, :, None]
+                done = stop(idx, pos, lo, S)
+                del S
+                if done.any():
+                    keep = ~done
+                    pos, idx, K, P = pos[keep], idx[keep], K[keep], P[keep]
+                    if not idx.size:
                         break
-                carry[pos] = K + P
-                kept.append(pos)
-            live = np.concatenate(kept)
-            n0 += length
-            size = min(2 * size, _BLOCK_MAX)
+            if not idx.size:
+                break
+            K += P
 
 
 def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.ndarray,
@@ -249,7 +244,7 @@ def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.nda
     ``keys`` and messages w, one trial at a time: the numbers ``_running_sums``
     gives, from only the rows that can still reach their threshold.
 
-    A trial keeps the block schedule of ``_running_sums`` and advances in
+    A trial walks the block schedule of ``_blocks`` and advances in
     sub-steps of _SUBSTEP uses.  Row r keeps its last computed use n[r], its
     carry K[r] at the start of that use's block and its partial cumsum P[r]
     within the block, so P[r] + K[r] is the float the batched kernel holds for
@@ -271,11 +266,7 @@ def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.nda
         cb = LazyCodebook(cb_key, dmc.caid_cum)
         n, K, P = np.zeros(M, np.int64), np.zeros(M), np.zeros(M)
         edges, y = [0], np.zeros(0, np.int64)
-        n0, size = 0, block
-        while True:
-            if n0 > TRIAL_USE_CAP:
-                raise RuntimeError(f"trial exceeded {TRIAL_USE_CAP} channel uses "
-                                   f"(C={dmc.C}); check the configuration")
+        for n0, size in _blocks(dmc, block):
             xw = cb.block([w], n0, size)[0]
             y = np.concatenate((y, dmc_steps(dmc, xw, _stream_uniforms(noise_key, n0, size))))
             edges.append(n0 + size)
@@ -302,8 +293,6 @@ def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.nda
                 if hit is not None:
                     # the true row's sum at tau, the last column being use N
                     return (*hit, sw[hit[0] - N - 1])
-            n0 += size
-            size = min(2 * size, _BLOCK_MAX)
 
     cb_keys, noise_keys = fold_keys(keys, 1), fold_keys(keys, 2)
     tau, decoded, info_sum = np.zeros(w.size, np.int64), w.copy(), np.zeros(w.size)
@@ -493,8 +482,8 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
     if decode_rule == "first_dominance":
         decoded[at0] = np.argmax(dom0)
         first_dom0 = np.where(dom0, 0, -1)
-        # first prefix-dominance time of each row, per position of a batch
-        first_dom = np.empty((min(w.size, _batch_trials(M)), M), np.int64)
+        # first prefix-dominance time of each row, per position of a chunk
+        first_dom = np.empty((min(w.size, _chunk_trials(M)), M), np.int64)
     elif decode_rule == "largest_at_stop":
         decoded[at0] = M - 1 - np.argmax(dom0[::-1])
 
@@ -539,16 +528,18 @@ def vlft_sum_many(dmc: Dmc, prior: MessagePrior, keys, w, n_max: int):
     total, last = np.ones(w.size), np.ones(w.size)  # n = 0 term: exp(-|0 - iw|+) = 1
 
     def stop(idx, pos, lo, S):
-        terms = np.exp(-np.maximum(S[:, 0] - iw[idx, None], 0.0))
+        # the terms of the uses up to n_max; every trial stops at n_max
+        terms = np.exp(-np.maximum(S[:, 0, :n_max - lo] - iw[idx, None], 0.0))
         last[idx] = terms[:, -1]
         # added one by one in use order, so the totals do not depend on the
         # sub-step size
         terms[:, 0] += total[idx]
         total[idx] = np.cumsum(terms, axis=1)[:, -1]
-        return np.zeros(idx.size, dtype=bool)
+        return np.full(idx.size, lo + S.shape[2] >= n_max)
 
-    _running_sums(dmc, keys, w[:, None], np.zeros_like(w), _BLOCK0, stop,
-                  np.arange(w.size), n_max)
+    if n_max > 0:
+        _running_sums(dmc, keys, w[:, None], np.zeros_like(w), _BLOCK0, stop,
+                      np.arange(w.size))
     return total, last
 
 

@@ -15,6 +15,7 @@ analysis behind each.
 """
 
 import numpy as np
+import pytest
 from scipy.stats import t as t_dist
 
 from jsccsim.channels import bsc
@@ -190,6 +191,7 @@ def _excess_sweep():
     return ch, rd, out
 
 
+@pytest.mark.slow
 def test_c05_excess_pipeline_budget_and_log_growth():
     ch, rd, stats = _excess_sweep()
     eps = 0.1

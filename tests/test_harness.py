@@ -100,6 +100,16 @@ def test_sweep_is_row_major_with_derived_seeds():
         sweep(base, {"P": [1], "n": [1], "sigma2": [1]})
 
 
+@pytest.mark.parametrize("grid", ['{"channel": 5}', '[1, 2]', '"Pn"', '{"P": "13"}'])
+def test_sweep_grid_must_map_fields_to_lists(tmp_path, grid):
+    base = {"kind": "sk", "P": 1.0, "n": 2, "trials": 1000, "seed": 99}
+    with pytest.raises(ConfigError, match="grid"):
+        sweep(base, json.loads(grid))
+    path = tmp_path / "sk.json"
+    path.write_text(json.dumps(base))
+    assert cli_main(["sweep", "--config", str(path), "--grid", grid]) == 2
+
+
 def test_emit_json_round_trip():
     rec = run(dict(SF_CFG, trials=1000))
     text = emit([rec], fmt="json")
@@ -150,6 +160,9 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("{not json")
     assert cli_main(["capacity", "--config", str(bad)]) == 2
     assert cli_main(["capacity", "--config", str(tmp_path / "missing.json")]) == 2
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    assert cli_main(["capacity", "--config", str(not_object)]) == 2
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"kind": "stop_feedback"}))
     assert cli_main(["sim-vlf", "--config", str(incomplete)]) == 2

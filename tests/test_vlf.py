@@ -290,8 +290,10 @@ def test_kernel_rows_equal_batch_of_one_rows(kind, channel, seed, trials, cuts):
 
 
 def test_one_trial_steps_give_the_same_records(monkeypatch):
-    """With the working-set cap at one cell every batch and block step holds
-    a single trial; no record may change."""
+    """With the working-set cap at one cell every chunk of the kernel holds a
+    single trial.  At 2^11 cells a chunk holds 6 to 256 trials and a run
+    spans several chunks, so trials leave a chunk at different sub-steps and
+    the first-dominance times are kept per chunk.  No record may change."""
     bsc11 = {"kind": "bsc", "delta": 0.11}
     configs = [
         {"kind": "stop_feedback", "channel": bsc11, "prior": {"kind": "geometric", "q": 0.6},
@@ -305,9 +307,34 @@ def test_one_trial_steps_give_the_same_records(monkeypatch):
     ]
     want = [harness.run(dict(cfg), workers=2).stripped() for cfg in configs]
     want_sum = vlf.vlft_length_via_sum(CHANNELS["dmc3"], PRIOR7, 9, 300, n_max=300)
-    monkeypatch.setattr(vlf, "_CELLS", 1)
-    assert [harness.run(dict(cfg)).stripped() for cfg in configs] == want
-    assert vlf.vlft_length_via_sum(CHANNELS["dmc3"], PRIOR7, 9, 300, n_max=300) == want_sum
+    for cells in (1, 2 ** 11):
+        monkeypatch.setattr(vlf, "_CELLS", cells)
+        assert [harness.run(dict(cfg)).stripped() for cfg in configs] == want, cells
+        assert vlf.vlft_length_via_sum(CHANNELS["dmc3"], PRIOR7, 9, 300, n_max=300) == want_sum
+
+
+@pytest.mark.parametrize("n_max", [1, 5, 8, 9, 33])
+def test_length_sum_stops_at_n_max_within_a_substep(monkeypatch, n_max):
+    """The length sum keeps the terms of the uses up to n_max, also where
+    n_max ends inside a sub-step or one use into the second block: its
+    totals and last terms are those of sub-steps of one use, and each total
+    is the previous one plus its last term."""
+    dmc, keys = CHANNELS["dmc3"], trial_keys(3, np.arange(50))
+    w = PRIOR7.sample_many(keys)
+    total, last = vlft_sum_many(dmc, PRIOR7, keys, w, n_max)
+    before = vlft_sum_many(dmc, PRIOR7, keys, w, n_max - 1)[0]
+    assert repr(total.tolist()) == repr((before + last).tolist())
+    monkeypatch.setattr(vlf, "_SUBSTEP", 1)
+    one = vlft_sum_many(dmc, PRIOR7, keys, w, n_max)
+    assert repr([total.tolist(), last.tolist()]) == repr([c.tolist() for c in one])
+
+
+def test_length_sum_over_no_uses_is_one():
+    keys = trial_keys(3, np.arange(5))
+    total, last = vlft_sum_many(CHANNELS["bsc"], PRIOR7, keys, PRIOR7.sample_many(keys), 0)
+    assert total.tolist() == last.tolist() == [1.0] * 5
+    with pytest.raises(RuntimeError, match="tail not converged"):
+        vlf.vlft_length_via_sum(CHANNELS["bsc"], PRIOR7, 9, 20, n_max=0)
 
 
 @pytest.mark.parametrize("prune_rows", [vlf._PRUNE_ROWS, 1])
