@@ -72,6 +72,8 @@ class Dmc:
         # log W(y|x) - log P_Y*(y), -inf on zero transitions
         with np.errstate(divide="ignore", invalid="ignore"):
             self.log_density = np.log(W) - np.log(caod)[None, :]
+        # the largest single-use information density
+        self.density_max = float(self.log_density[np.isfinite(self.log_density)].max())
         # the inverse-CDF compare values of each row (see rng.draw_cum)
         self.W_cum = draw_cum(np.cumsum(W, axis=1))
 

@@ -365,6 +365,8 @@ def awgn_jscc_converse(rd: RdSolution, k: int, E: float, N0: float,
         raise ValueError(f"need E >= 0 and N0 > 0, got E={E}, N0={N0}")
     mu = E / N0
     sig = np.sqrt(max(2.0 * E / N0, 0.0))
+    if rd.source.kind != "gaussian":
+        v, p = _sum_tilted_distribution(rd, k)
 
     def prob_ge(gamma):
         # P[ sum j - G >= gamma ]
@@ -379,7 +381,6 @@ def awgn_jscc_converse(rd: RdSolution, k: int, E: float, N0: float,
                 return chi2.pdf(x, k) * ndtr((v - gamma - mu) / sig)
             val, _ = quad(f, 0, k + 40 * np.sqrt(2 * k), epsabs=1e-10, limit=200)
             return val
-        v, p = _sum_tilted_distribution(rd, k)
         if sig == 0:
             return float(np.sum(p[v - gamma >= mu]))
         return float(np.dot(p, ndtr((v - gamma - mu) / sig)))

@@ -92,8 +92,10 @@ def _model(cfg: dict, section: str):
     constructor's ValueError or TypeError becomes a ConfigError naming the
     fields it was given."""
     sub, path = _need(cfg, section), section + "."
+    if not isinstance(sub, dict):
+        raise ConfigError(f"invalid field: {section}={sub!r} must be an object")
     kind = _need(sub, "kind", path)
-    if kind not in _MODELS[section]:
+    if not isinstance(kind, str) or kind not in _MODELS[section]:
         raise ConfigError(f"unknown {section} kind: {path}kind={kind!r}")
     make, fields = _MODELS[section][kind]
     args = [_need(sub, name, path) for name in fields]
@@ -159,7 +161,7 @@ def validate(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("config must be a mapping")
     kind = _need(config, "kind")
-    if kind not in _RUNNERS:
+    if not isinstance(kind, str) or kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind: kind={kind!r}")
     if kind != "bound":
         trials = _integer(config, "trials", 1)
@@ -175,6 +177,14 @@ def _check_seed(seed):
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         raise ConfigError(f"invalid field: seed={seed!r} must be an integer in [0, 2^64)")
     return seed
+
+
+def _discrete(cfg: dict, src):
+    """src; a ConfigError naming source.kind unless src is discrete."""
+    if src.kind != "discrete":
+        raise ConfigError(f"invalid field: source.kind={src.kind!r}: {cfg['kind']} needs a "
+                          "discrete source")
+    return src
 
 
 def _rd(cfg: dict):
@@ -225,7 +235,7 @@ def _run_stop_feedback(cfg, workers):
     bounds = {
         "error_bound": float(np.exp(-gamma)),
         "length_bound": stop_feedback_length_bound(
-            prior.entropy, float(np.exp(-gamma)), dmc.C, dmc.a0),
+            prior.entropy, float(np.exp(-gamma)), dmc.C, max(dmc.a0, dmc.density_max)),
     }
     violations = []
     if err["estimate"] > bounds["error_bound"] + 4 * _se(err):
@@ -280,13 +290,19 @@ def _run_jscc_excess(cfg, workers):
     if not 0 < eps < 1:
         raise ConfigError(f"invalid field: eps={eps} must lie in (0, 1)")
     rd = _rd(cfg)
+    _discrete(cfg, rd.source)
     split = _split(cfg) if "split" in cfg else None
     if split is None and eps <= 1 / np.sqrt(k):
         raise ConfigError(f"invalid field: eps={eps} must exceed 1/sqrt(k)={1 / np.sqrt(k):.4g} "
                           "unless a split is given")
-    metrics, extra = simulate_excess(k, d, eps, dmc, rd, cfg["seed"], cfg["trials"], split=split,
-                                     mode=_choice(cfg, "mode", STOP_FEEDBACK_MODES),
-                                     workers=workers)
+    mode = _choice(cfg, "mode", STOP_FEEDBACK_MODES)
+    try:
+        metrics, extra = simulate_excess(k, d, eps, dmc, rd, cfg["seed"], cfg["trials"],
+                                         split=split, mode=mode, workers=workers)
+    except LengthBoundError:
+        raise
+    except ValueError as exc:  # no codebook size meets the source's share of the budget
+        raise ConfigError(f"invalid field: {'split' if split else 'eps'}: {exc}") from exc
     bounds = {"eps_target": eps, "expansion_length": extra["expansion_ell"]}
     violations = []
     if metrics["excess"]["estimate"] > eps + 4 * _se(metrics["excess"]):
@@ -300,7 +316,8 @@ def _run_jscc_average(cfg, workers):
     if rd.source.unbounded_distortion:
         raise ConfigError("invalid field: source has unbounded distortion; "
                           "jscc_average needs a bounded one")
-    k, d = _integer(cfg, "k", 1), _number(cfg, "d")
+    # the channel's error budget k^(-3/2) is below 1 from k = 2 on
+    k, d = _integer(cfg, "k", 2), _number(cfg, "d")
     # an absent or null M takes the default; M*k symbols of a codebook are held at once
     M = cfg.get("M")
     if M is None:
@@ -316,11 +333,16 @@ def _run_jscc_average(cfg, workers):
 
 def _run_jscc_guaranteed(cfg, workers):
     dmc = _simulated_channel(cfg)
-    src = _model(cfg, "source")
+    src = _discrete(cfg, _model(cfg, "source"))
     # the covering map is an exhaustive search over source blocks
     k, d = _integer(cfg, "k", 1, 4), _number(cfg, "d")
-    metrics, extra = simulate_guaranteed(k, d, dmc, src, cfg["seed"], cfg["trials"],
-                                         workers=workers)
+    try:
+        metrics, extra = simulate_guaranteed(k, d, dmc, src, cfg["seed"], cfg["trials"],
+                                             workers=workers)
+    except LengthBoundError:
+        raise
+    except ValueError as exc:  # no covering map within d, or too many source blocks
+        raise ConfigError(f"invalid field: source, k, d: {exc}") from exc
     violations = []
     if metrics["violations"]["estimate"] > 0:
         violations.append("a reproduction exceeds the distortion target d")
@@ -430,7 +452,7 @@ def _run_bound(cfg, workers):
     evaluator's ValueError or TypeError becomes a ConfigError naming the
     fields of its ``_BOUNDS`` entry."""
     which = _need(cfg, "which", "bound.")
-    if which not in _BOUNDS:
+    if not isinstance(which, str) or which not in _BOUNDS:
         raise ConfigError(f"unknown bound: which={which!r}")
     evaluate, fields = _BOUNDS[which]
     try:

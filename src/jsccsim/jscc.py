@@ -8,7 +8,8 @@ first d-close index.  The resulting index distribution (a mixture of
 geometrics over source types) is computed analytically and used as the
 channel code's message prior.
 A pipeline's shard of trials draws its keys and source blocks at once
-(``source_blocks``), then runs the source coder and the channel code.
+(``source_blocks``), and reads its reproductions in one gather: from one
+``LossyCodebook`` over the shard's keys, or from the covering search's tables.
 
 Each ``simulate_*`` returns (metrics, extra).  ``metrics`` are the record's
 metrics, each an ``rng.stat`` of the per-trial values: {"tau", "excess"},
@@ -36,21 +37,24 @@ MATERIALIZE_MAX = 2 ** 24
 class LossyCodebook:
     """Codewords i.i.d. from the k-fold product of a generator marginal.
 
-    Chunks are generated from the key on demand, so the same (seed, index)
-    always yields the same codeword.
+    ``key`` is one key or an array of keys, as for ``vlf.LazyCodebook``; the
+    same (key, index) always yields the same codeword, generated on demand.
     """
 
-    def __init__(self, key: int, k: int, M: int, output_pmf):
-        self.key = int(key)
+    def __init__(self, key, k: int, M: int, output_pmf):
+        self.key = key if isinstance(key, np.ndarray) else int(key)
         self.k = int(k)
         self.M = int(M)
         # inverse-CDF sampling of the output marginal, on the raw hashes
         self._thresholds = hash_thresholds(draw_cum(np.cumsum(output_pmf)))
 
-    def chunk(self, start: int, count: int) -> np.ndarray:
-        rows = np.arange(start, min(start + count, self.M))
+    def rows(self, rows) -> np.ndarray:
+        """Codewords ``rows``, k letters each, shaped as by ``keyed_uniforms_2d``."""
         return draw_symbols(keyed_uniforms_2d(self.key, rows, 0, self.k, raw=True),
                             self._thresholds)
+
+    def chunk(self, start: int, count: int) -> np.ndarray:
+        return self.rows(np.arange(start, min(start + count, self.M)))
 
 
 def dball_encode(s: np.ndarray, cb: LossyCodebook, d: float,
@@ -165,11 +169,6 @@ def source_blocks(master_seed: int, ids, pmf: np.ndarray, k: int):
                                  side="right")
 
 
-def _distortion(dm: np.ndarray, s: np.ndarray, cb: LossyCodebook, index: int) -> float:
-    """Average distortion between s and codeword ``index`` of cb."""
-    return float(dm[s, cb.chunk(index, 1)[0]].mean())
-
-
 def default_budget_split(eps: float, k: int):
     """Source gets eps - 1/sqrt(k), channel 1/sqrt(k)."""
     ch = 1.0 / np.sqrt(k)
@@ -207,13 +206,13 @@ def simulate_excess(k: int, d: float, eps: float, dmc: Dmc, rd: RdSolution,
     def shard(ids):
         # the source coder runs per trial, the channel code on the whole shard
         keys, S = source_blocks(master_seed, ids, rd.source.pmf, k)
-        cbs = [LossyCodebook(key, k, M, rd.output_pmf) for key in fold_keys(keys, 3).tolist()]
-        ws, hits = np.array([dball_encode(s, cb, d, dm) for s, cb in zip(S, cbs)]).T
+        cb = LossyCodebook(fold_keys(keys, 3), k, M, rd.output_pmf)
+        ws, hits = np.array([dball_encode(s, LossyCodebook(key, k, M, rd.output_pmf), d, dm)
+                             for s, key in zip(S, cb.key.tolist())]).T
         # in true_path mode the batch decodes w itself
         taus, decoded, _, _ = stop_feedback_many(dmc, prior, gamma, mode, fold_keys(keys, 4),
                                                  ws)
-        dists = np.array([_distortion(dm, s, cb, dec)
-                          for s, cb, dec in zip(S, cbs, decoded.tolist())])
+        dists = dm[S, cb.rows(decoded[:, None])[:, 0]].mean(axis=1)
         return np.column_stack((taus, (hits == 0) | (dists > d + 1e-12)))
 
     taus, fails = run_trials(shard, trials, workers).T
@@ -259,13 +258,14 @@ def simulate_average(k: int, d: float, dmc: Dmc, rd: RdSolution,
 
     def shard(ids):
         keys, S = source_blocks(master_seed, ids, rd.source.pmf, k)
-        cbs = [LossyCodebook(key, k, M, rd.output_pmf) for key in fold_keys(keys, 3).tolist()]
-        ws = np.array([min_distortion_encode(s, cb, dm) for s, cb in zip(S, cbs)])
+        cb = LossyCodebook(fold_keys(keys, 3), k, M, rd.output_pmf)
+        ws = np.array([min_distortion_encode(s, LossyCodebook(key, k, M, rd.output_pmf), dm)
+                       for s, key in zip(S, cb.key.tolist())])
         taus, decoded, errs, _ = stop_feedback_many(dmc, prior, gamma, "full_decoder",
                                                     fold_keys(keys, 4), ws)
-        dists = [(_distortion(dm, s, cb, dec), _distortion(dm, s, cb, w))
-                 for s, cb, dec, w in zip(S, cbs, decoded.tolist(), ws.tolist())]
-        return np.column_stack((taus, errs, dists))
+        # the decoded and the encoded codeword of each trial, (T, 2, k)
+        Z = cb.rows(np.column_stack((decoded, ws)))
+        return np.column_stack((taus, errs, dm[S[:, None], Z].mean(axis=2)))
 
     taus, errs, dists, src_dists = run_trials(shard, trials, workers).T
     return {"tau": stat(taus), "distortion": stat(dists)}, {
@@ -282,30 +282,21 @@ def simulate_guaranteed(k: int, d: float, dmc: Dmc, src, master_seed: int,
     """
     if k > 4:
         raise ValueError("guaranteed mode uses exhaustive covering maps; k <= 4")
-    H, assign = brute_force_deps_entropy(src, k, d, 0.0, return_map=True)
-    ns, nz = src.distortion.shape
-    pk = np.ones(1)
-    for _ in range(k):
-        pk = np.kron(pk, src.pmf)  # product pmf in base-ns digit order
-    # relabel used reproduction sequences by non-increasing induced probability
-    mass = np.zeros(nz ** k)
-    np.add.at(mass, assign, pk)
-    used = np.flatnonzero(mass > 0)
-    order = used[np.argsort(-mass[used], kind="stable")]
-    rank = np.full(nz ** k, -1, dtype=np.int64)
-    rank[order] = np.arange(order.size)
-    w_of_block = rank[assign]
-    prior = MessagePrior(mass[order])
+    H, assign, pk, Z = brute_force_deps_entropy(src, k, d, 0.0, return_map=True)
+    # messages: the used reproduction blocks by non-increasing induced probability
+    mass = np.bincount(assign, weights=pk)
+    order = np.argsort(-mass, kind="stable")
+    w_of_block = np.argsort(order)[assign]
+    cw_table = Z[order]
+    prior = MessagePrior(mass[order[:np.count_nonzero(mass)]])
     trial_length_bound(dmc, prior.entropy)
-    digits = ns ** np.arange(k - 1, -1, -1)
-    rep_digits = nz ** np.arange(k - 1, -1, -1)
-    cw_table = (order[:, None] // rep_digits[None, :]) % nz
 
     dm = src.distortion
 
     def shard(ids):
         keys, S = source_blocks(master_seed, ids, src.pmf, k)
-        taus, decoded, _ = vlft_many(dmc, prior, fold_keys(keys, 4), w_of_block[S @ digits])
+        w = w_of_block[np.ravel_multi_index(S.T, (src.pmf.size,) * k)]
+        taus, decoded, _ = vlft_many(dmc, prior, fold_keys(keys, 4), w)
         return np.column_stack((taus, dm[S, cw_table[decoded]].mean(axis=1) > d + 1e-12))
 
     taus, violated = run_trials(shard, trials, workers).T

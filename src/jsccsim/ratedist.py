@@ -238,14 +238,14 @@ def source_expansion(k: int, d: float, eps: float, rd: RdSolution) -> float:
 
 
 def _product_source(src: SourceModel, k: int):
-    """k-fold product pmf and per-letter-averaged distortion matrix."""
+    """k-fold product pmf, per-letter-averaged distortion matrix and reproduction blocks."""
     p, dm = src.pmf, src.distortion
     ns, nz = dm.shape
     if ns ** k > 4096 or nz ** k > 4096:
         raise ValueError(f"k={k} too large for exhaustive search (|S|^k must be <= 4096)")
     S = np.array(list(itertools.product(range(ns), repeat=k)), dtype=np.intp)
     Z = np.array(list(itertools.product(range(nz), repeat=k)), dtype=np.intp)
-    return p[S].prod(axis=1), dm[S[:, None], Z[None]].mean(axis=2)
+    return p[S].prod(axis=1), dm[S[:, None], Z[None]].mean(axis=2), Z
 
 
 def _entropy_of_assignment(pk, assign, nz):
@@ -340,15 +340,16 @@ def brute_force_deps_entropy(src: SourceModel, k: int, d: float, eps: float,
 
     Exact by exhaustive search when the map space is small enough; otherwise a
     greedy-refined search (upper bound, oracle-quality at the k <= 4 scale this
-    is restricted to).
+    is restricted to).  ``return_map`` gives (h, map, pk, Z), pk and Z from
+    ``_product_source``: source block i maps to reproduction block Z[map[i]].
     """
     if src.kind != "discrete":
         raise ValueError("exact (d,eps)-entropy search is discrete-only")
-    pk, dk = _product_source(src, k)
+    pk, dk, Z = _product_source(src, k)
     result = _assignment_exhaustive(pk, dk, d, eps)
     if result is None:
         result = _assignment_greedy_refined(pk, dk, d, eps)
     h, assign = result
     if assign is None:
         raise ValueError(f"no map meets distortion {d} within excess budget {eps}")
-    return (h, assign) if return_map else h
+    return (h, assign, pk, Z) if return_map else h

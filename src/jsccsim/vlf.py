@@ -74,8 +74,8 @@ class MessagePrior:
 
     def __init__(self, pmf):
         pmf = np.asarray(pmf, dtype=np.float64)
-        if np.any(pmf <= 0):
-            raise ValueError("prior must have strictly positive entries on its support")
+        if pmf.ndim != 1 or np.any(pmf <= 0):
+            raise ValueError("prior must be a vector of strictly positive entries")
         if abs(pmf.sum() - 1.0) > 1e-9:
             raise ValueError("prior must sum to 1")
         self.pmf = pmf / pmf.sum()
@@ -255,10 +255,9 @@ def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.nda
     up, so its sum at tau is the one the kernel's stop rule reads.
     """
     ld = dmc.log_density
-    finite = ld[np.isfinite(ld)]
-    d_max = np.nextafter(finite.max(), np.inf)
+    d_max = np.nextafter(dmc.density_max, np.inf)
     # a computed sum over n uses is within 3 n^2 u d_abs of the exact one, u = 2^-53
-    d_abs = np.nextafter(np.abs(finite).max(), np.inf)
+    d_abs = np.nextafter(np.abs(ld[np.isfinite(ld)]).max(), np.inf)
     thr_lo = thresholds - 2.0 ** -50 * np.abs(thresholds)
     M = thresholds.size
 
@@ -419,7 +418,9 @@ def trial_length_bound(dmc: Dmc, H: float, gamma: float = 0.0) -> float:
 
 
 def stop_feedback_length_bound(H: float, eps: float, C: float, a0: float) -> float:
-    """Average-length guarantee (H + ln(1/eps) + a0) / C, all in nats."""
+    """Average-length guarantee (H + ln(1/eps) + a0) / C, all in nats, where a0
+    bounds the overshoot of the threshold crossing: at least the largest
+    single-use information density (``Dmc.density_max``)."""
     if C <= 0:
         raise ValueError("C must be positive")
     if not 0 < eps < 1:

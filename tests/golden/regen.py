@@ -7,7 +7,7 @@ rewrites ``tests/golden/records.json`` from the entries below.  Regenerate
 only in a change whose CHANGES.md entry names each field that moved and why;
 ``regen.py --diff`` lists them and writes nothing: each moved record field
 with its old and new value, and each moved column of a call entry with how
-many rows moved.
+many rows moved.  It exits 1 when anything moved, 0 when nothing did.
 ``tests/test_golden.py`` recomputes every entry and compares it with the file
 exactly; floats are compared by their ``repr``.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -250,12 +251,18 @@ def diff(old: dict, new: dict) -> list:
     return lines
 
 
-if __name__ == "__main__":
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--diff", action="store_true",
                         help="print what moved against the committed file and write nothing")
-    if parser.parse_args().diff:
-        print("\n".join(diff(json.loads(PATH.read_text()), compute())) or "nothing moved")
-    else:
-        PATH.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
-        print(f"wrote {PATH}")
+    if parser.parse_args(argv).diff:
+        moved = diff(json.loads(PATH.read_text()), compute())
+        print("\n".join(moved) or "nothing moved")
+        return 1 if moved else 0
+    PATH.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -217,6 +217,23 @@ def test_awgn_converse_limits_and_monotonicity():
     assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+def test_awgn_converse_builds_the_tilted_distribution_once(monkeypatch):
+    """The sup over the gamma grid reads one exact distribution of the sum of
+    tilted informations; built per grid point, a 3-letter source at k=30
+    took seconds."""
+    from jsccsim import energy
+
+    real, calls = energy._sum_tilted_distribution, []
+
+    def counted(rd, k):
+        calls.append(k)
+        return real(rd, k)
+
+    monkeypatch.setattr(energy, "_sum_tilted_distribution", counted)
+    awgn_jscc_converse(ba_rate_distortion(bernoulli_hamming(0.3), 0.1), 10, 6.0, 2.0)
+    assert calls == [10]
+
+
 def test_awgn_converse_zero_dispersion_closed_form():
     rd = ba_rate_distortion(bernoulli_hamming(0.5), 0.11)
     k, N0, gamma = 40, 2.0, 3.0

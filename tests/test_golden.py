@@ -114,7 +114,7 @@ def test_transcripts_do_not_depend_on_the_substep(monkeypatch, name, substep):
         f"{name}: transcripts moved with sub-steps of {substep} uses")
 
 
-def test_regen_diff_names_each_moved_field_and_column():
+def test_regen_diff_names_each_moved_field_and_column(monkeypatch, capsys):
     assert regen.diff(GOLDEN, GOLDEN) == []
     moved = copy.deepcopy(GOLDEN)
     run0, call = moved["runs"][0], "transcripts_stop_feedback_full_decoder_bsc"
@@ -126,3 +126,9 @@ def test_regen_diff_names_each_moved_field_and_column():
     assert regen.diff(GOLDEN, moved) == [
         f"{run0['name']}.metrics.tau.estimate: {old_tau!r} -> {old_tau + 1.0!r}",
         f"{call}[:, 3]: 1 of {len(rows)} rows moved, max rel 2.2e-16"]
+    # --diff exits 1 when anything moved, so a script can gate on it
+    monkeypatch.setattr(regen, "compute", lambda: moved)
+    assert regen.main(["--diff"]) == 1
+    monkeypatch.setattr(regen, "compute", lambda: GOLDEN)
+    assert regen.main(["--diff"]) == 0
+    assert capsys.readouterr().out.endswith("nothing moved\n")

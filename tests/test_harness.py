@@ -7,15 +7,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jsccsim import harness, jscc
+from jsccsim.channels import bsc
 from jsccsim.cli import main as cli_main
 from jsccsim.energy import IdealBitTransmitter, huffman_code, vl_feedback_energy_trial
 from jsccsim.harness import ConfigError, emit, record_to_dict, run, sweep, validate
 from jsccsim.info import LN2
 from jsccsim.jscc import average_codebook_size
-from jsccsim.ratedist import ba_rate_distortion, bernoulli_hamming
-from jsccsim.rng import seed_stream, stat
+from jsccsim.ratedist import ba_rate_distortion, bernoulli_hamming, source_expansion
+from jsccsim.rng import run_trials, seed_stream, stat
 from jsccsim.vlf import MessagePrior, geometric_prior
 
 SF_CFG = {
@@ -45,6 +48,12 @@ def test_unknown_kind_and_missing_fields_name_the_path():
              "trials": 1000, "seed": 0})
     with pytest.raises(ConfigError):
         validate({"kind": "stop_feedback"})
+    # a kind or bound that is not a string, such as a list, names its field
+    for cfg, field in ((dict(SF_CFG, kind=["vlft"]), "kind"),
+                       (dict(SF_CFG, prior={"kind": ["uniform"], "M": 4}), "prior.kind"),
+                       (dict(BOUND_BASE, which={"a": 1}), "which")):
+        with pytest.raises(ConfigError, match=field):
+            run(cfg)
 
 
 def test_small_trial_counts_rejected_for_ci_kinds():
@@ -337,6 +346,36 @@ def test_guaranteed_distortion_violation_exits_3_under_check_bounds(tmp_path, mo
     assert rec["metrics"]["violations"]["estimate"] > 0
 
 
+def test_stop_feedback_length_bound_holds_on_the_noiseless_channel(tmp_path):
+    """On W = I every use carries density ln 2 and a0 is 0; the overshoot
+    term is the largest density, so with M=4 and gamma=1, where every trial
+    stops at tau = 4, the bound is 2 + (1 + ln 2)/ln 2 = 4.44, not 3.44."""
+    cfg = dict(SF_CFG, channel={"kind": "matrix", "W": [[1, 0], [0, 1]]},
+               prior={"kind": "uniform", "M": 4}, gamma_nats=1.0, trials=1000)
+    rec = run(cfg)
+    assert rec.metrics["tau"] == {"estimate": 4.0, "half_width": 0.0, "n": 1000}
+    assert rec.bounds["length_bound"] == pytest.approx(3 + 1 / LN2)
+    assert rec.violations == []
+    path = tmp_path / "noiseless.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["sim-vlf", "--config", str(path), "--out", str(tmp_path / "out.json"),
+                     "--check-bounds"]) == 0
+
+
+def test_converse_length_bound_solves_its_two_term_inequalities():
+    """vlf_length is R_{S^k}(d, eps)/C, and vlft_length the smallest ell with
+    C ell + ln(ell + 1) + 1 >= R, R the two-term source expansion."""
+    m = run(dict(BOUND_BASE, which="converse_length")).metrics
+    R = source_expansion(10, 0.1, 0.1, ba_rate_distortion(bernoulli_hamming(0.3), 0.1))
+    C = bsc(0.11).C
+    assert R > 1
+    assert m["vlf_length"]["estimate"] == R / C
+    ell = m["vlft_length"]["estimate"]
+    assert C * ell + np.log(ell + 1) + 1 >= R
+    below = ell * (1 - 1e-9)
+    assert C * below + np.log(below + 1) + 1 < R
+
+
 def _add_to_item(index, amount):
     """A breaker of a function that returns a tuple: adds ``amount`` to item
     ``index`` of what it returns."""
@@ -432,6 +471,8 @@ def test_seed_stream_contract():
 
 
 NEAR_USELESS = {"kind": "bsc", "delta": 0.4999999}
+GAUSSIAN = {"kind": "gaussian", "variance": 1.0}
+NESTED_PMF = {"kind": "pmf", "pmf": [[0.5, 0.5]]}
 
 
 def _no_trials(*args, **kwargs):
@@ -490,6 +531,21 @@ def _no_trials(*args, **kwargs):
     ("sim-jscc", "trials=True", dict(SIMULATED["jscc_guaranteed"], trials=True)),
     ("sim-jscc", "trials=True", dict(SIMULATED["jscc_average"], trials=True)),
     ("sim-sk", "trials=True", dict(SK_CFG, trials=True)),
+    # the covering search and the type classes need a discrete source
+    ("sim-jscc", "source.kind='gaussian'", dict(EXCESS_CFG, source=GAUSSIAN)),
+    ("sim-jscc", "source.kind='gaussian'", dict(SIMULATED["jscc_guaranteed"], source=GAUSSIAN)),
+    # no reproduction block is within d of any source block
+    ("sim-jscc", "source, k, d: no map meets distortion -1.0",
+     dict(SIMULATED["jscc_guaranteed"], d=-1.0)),
+    # no codebook of at most 2^20 words meets the source share eps - 1/sqrt(k)
+    ("sim-jscc", "eps: cannot reach miss", {key: v for key, v in dict(
+        EXCESS_CFG, k=100, d=0.2, eps=0.5).items() if key != "split"}),
+    # a channel error budget k^(-3/2) of 1 gives gamma = 0
+    ("sim-jscc", "k=1", dict(SIMULATED["jscc_average"], k=1)),
+    *[(command, "prior.pmf: prior must be a vector", dict(cfg, prior=NESTED_PMF))
+      for command, cfg in (("sim-vlf", SF_CFG), ("sim-vlft", SIMULATED["vlft"]),
+                           ("sim-energy", ENERGY_VL_CFG))],
+    ("sim-vlf", "channel=0.11 must be an object", dict(SF_CFG, channel=0.11)),
 ])
 def test_simulator_domain_errors_are_config_errors_before_any_trial(tmp_path, monkeypatch,
                                                                      command, message, cfg):
@@ -541,3 +597,85 @@ def test_energy_vl_record_equals_its_per_trial_rows(prior, model):
                      for t in range(cfg["trials"])], dtype=np.float64)
     want = {name: stat(rows[:, i]) for i, name in enumerate(("correct", "energy", "bits"))}
     assert repr(run(cfg).metrics) == repr(want)
+
+
+# The property below starts from one valid config per kind and replaces a few
+# fields with values from these lists: in range, at an edge, out of range or
+# of the wrong type.  Sizes stay small so that a case costs milliseconds.
+_MISSING = object()
+_JUNK = [_MISSING, None, "x", [1], {"a": 1}, True, float("nan"), float("inf")]
+_HAMMING3 = (1 - np.eye(3)).tolist()
+_FIELD_VALUES = {
+    "kind": [*harness._RUNNERS, "bogus"],
+    "channel": [*({"kind": "bsc", "delta": x} for x in (0.0, 0.11, 0.4999999, 0.5, 1.0, -0.1)),
+                *({"kind": "bec", "delta": x} for x in (0.0, 0.6, 1.0)),
+                *({"kind": "matrix", "W": W} for W in (
+                    [[1, 0], [0, 1]], [[0.9, 0.1]], [[1]], [], [[1, 0], [0, 1], [0.5, 0.5]],
+                    [[0.5, 0.6], [0.5, 0.5]], [[[1.0]]], "x")),
+                {"kind": "awgn"}, {}],
+    "prior": [*({"kind": "uniform", "M": M} for M in (0, 1, 2, 16, 600, 2.5)),
+              *({"kind": "geometric", "q": q} for q in (0, 0.5, 0.99, 1)),
+              *({"kind": "pmf", "pmf": p} for p in (
+                  [0.5, 0.5], [0.7, 0.3], [0.3, 0.7], [[0.5, 0.5]], [], [1.0], [0.5, 0.6],
+                  [1, 0], 1.0, "x"))],
+    "source": [*({"kind": "bernoulli", "p": p} for p in (0.0, 0.11, 0.5, 1.0, 1.5)),
+               *({"kind": "gaussian", "variance": v} for v in (1.0, 0.0, -1.0)),
+               *({"kind": "discrete", "pmf": p, "distortion": D} for p, D in (
+                   ([0.2, 0.3, 0.5], _HAMMING3), ([0.5, 0.5], [[0, 1, 0.5], [1, 0, 0.5]]),
+                   ([1.0], [[0.0]]), ([0.5, 0.5], [[0, 1]]), ([0.5, 0.5], "x"),
+                   ([0.5, 0.5], [[0, float("inf")], [float("inf"), 0]]),
+                   ([0.5, 0.5], [[0, -1], [1, 0]])))],
+    "gamma_nats": [0.5, 4.6, 0, -1],
+    "mode": ["full_decoder", "true_path", "bogus"],
+    "decode_rule": ["map_stop", "first_dominance", "largest_at_stop", "bogus"],
+    "k": [0, 1, 2, 3, 4, 5, 8, 2.5],
+    "d": [-1.0, 0.0, 0.05, 0.11, 0.3, 0.5, 1.0],
+    "eps": [0.0, 0.1, 0.5, 0.9, 1.0],
+    "split": [[0.05, 0.05], [0.4, 0.4], [0.05], [0, 1], "ab"],
+    "M": [1, 8, 64, 0, 2 ** 30],
+    "P": [0.0, 1.0, -1.0, 1e300],
+    "n": [0, 1, 5, 2.5],
+    "sigma2": [1.0, 0.0],
+    "E": [0.0, 4.0, -1.0],
+    "m": [0, 1, 4, 2 ** 17],
+    "N0": [2.0, 0.0, -1],
+    "which": [*harness._BOUNDS, "bogus"],
+    "expansion_kind": ["avg_fb", "excess_fb", "excess_nofb", "avg_power_nofb", "bits_nofb",
+                       "bits_fb", "bogus"],
+    "gamma": [1.0, 0.0, -1.0],
+    "trials": [1, 5, 1000, 0],
+    "seed": [0, 2 ** 64 - 1, -1, 1.5],
+}
+_BASES = [SF_CFG, SIMULATED["vlft"], EXCESS_CFG, SIMULATED["jscc_average"],
+          SIMULATED["jscc_guaranteed"], SK_CFG, ENERGY_VL_CFG, PPM_CFG,
+          *(dict(BOUND_BASE, which=which, expansion_kind="excess_fb")
+            for which in harness._BOUNDS)]
+
+
+@st.composite
+def _configs(draw):
+    cfg = dict(draw(st.sampled_from(_BASES)))
+    for name in draw(st.lists(st.sampled_from(list(_FIELD_VALUES)), max_size=3)):
+        value = draw(st.sampled_from(_FIELD_VALUES[name] + _JUNK))
+        if value is _MISSING:
+            cfg.pop(name, None)
+        else:
+            cfg[name] = value
+    return cfg
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(_configs())
+def test_every_config_yields_a_record_or_a_config_error(cfg):
+    """Any JSON-shaped config of any kind: ``run`` returns a record that
+    ``emit`` writes, or raises a ConfigError; nothing else escapes.  The
+    simulators run two trials."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (harness, jscc):
+            mp.setattr(module, "run_trials",
+                       lambda fn, trials, workers=1: run_trials(fn, min(trials, 2), workers))
+        try:
+            rec = run(cfg)
+        except ConfigError:
+            return
+    emit([rec])

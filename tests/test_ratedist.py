@@ -196,7 +196,7 @@ def test_covering_entropy_greedy_search_closed_forms():
     equiprobable pair; radius 2/3 by one word, whose complement alone needs
     a second, so the map's masses are 7/8 and 1/8."""
     src = bernoulli_hamming(0.5)
-    assert _assignment_exhaustive(*_product_source(src, 3), 1 / 3, 0.0) is None
+    assert _assignment_exhaustive(*_product_source(src, 3)[:2], 1 / 3, 0.0) is None
     assert brute_force_deps_entropy(src, 3, 1 / 3, 0.0) == np.log(2)
     assert brute_force_deps_entropy(src, 3, 2 / 3, 0.0) == h2(1 / 8)
 
