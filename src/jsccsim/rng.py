@@ -104,7 +104,8 @@ def trial_keys(master_seed: int, ids) -> np.ndarray:
 
 
 def keyed_uniforms_2d(key, rows, col_start, cols, raw: bool = False):
-    """Uniforms u[..., r, c] in (0,1) keyed by (key, rows[..., r], col_start + c).
+    """Uniforms u[..., r, c] in (0,1) keyed by (key, rows[..., r], s + c), where
+    s is ``col_start``, or ``col_start[..., r]`` for one first column per row.
 
     ``key`` is one key, with rows of shape (R,); or an array of T keys, with
     rows of shape (R,) shared by every key or (T, R), one row list per key,
@@ -117,9 +118,11 @@ def keyed_uniforms_2d(key, rows, col_start, cols, raw: bool = False):
     """
     rows = np.asarray(rows, dtype=np.uint64)
     keys = np.asarray(key, dtype=np.uint64)[..., None]
-    cols = np.uint64(col_start) + np.arange(cols, dtype=np.uint64)
+    # (s + c) * GOLDEN modulo 2^64, as s * GOLDEN + c * GOLDEN
+    step = np.asarray(col_start, dtype=np.uint64)[..., None] * _GOLDEN
+    step = step + np.arange(cols, dtype=np.uint64) * _GOLDEN
     inner = _mix(keys + rows * _GOLDEN, inplace=True)[..., None]
-    h = _mix(inner + cols * _GOLDEN, inplace=True)
+    h = _mix(inner + step, inplace=True)
     return h if raw else _unit(h)
 
 

@@ -24,10 +24,10 @@ threshold test compared, and the length sum adds its terms one use at a
 time, in order.
 
 The full decoder of ``stop_feedback_many`` takes one of two paths by the
-prior's row count.  Below _PRUNE_ROWS = 512 rows it runs the batched kernel.
-From 512 rows on, ``_pruned_trials`` runs one trial at a time and hashes
-only the rows whose sum can still reach their threshold; its numbers are
-bit-identical to the kernel's (see notes/decisions.md).
+prior's row count.  Below _PRUNE_ROWS = 864 rows it runs the batched kernel.
+From 864 rows on, ``_pruned_trials`` runs one trial at a time and hashes
+only the rows whose sum can still reach their threshold, a lagging row in
+stages; its numbers are bit-identical to the kernel's (see notes/decisions.md).
 
 Codebook symbols are drawn on the raw uint64 hashes, compared with integer
 thresholds that reproduce inverse-CDF sampling of the uniforms exactly
@@ -38,7 +38,7 @@ stay as the per-trial API of the tests and golden transcripts.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +63,7 @@ FULL_DECODER_MAX_SUPPORT = 2 ** 20
 # Rows of a full-decoder prior from which ``stop_feedback_many`` runs the
 # bound-pruned decoder; below it the batched kernel is faster.  Set where the
 # measured per-trial times cross (see notes/decisions.md).
-_PRUNE_ROWS = 512
+_PRUNE_ROWS = 864
 # Uses per sub-step of the kernel and of the pruned decoder: a trial stops
 # paying for hashing at the end of the sub-step in which it stops.
 _SUBSTEP = 8
@@ -244,15 +244,17 @@ def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.nda
     ``keys`` and messages w, one trial at a time: the numbers ``_running_sums``
     gives, from only the rows that can still reach their threshold.
 
-    A trial walks the block schedule of ``_blocks`` and advances in
-    sub-steps of _SUBSTEP uses.  Row r keeps its last computed use n[r], its
-    carry K[r] at the start of that use's block and its partial cumsum P[r]
-    within the block, so P[r] + K[r] is the float the batched kernel holds for
-    it at use n[r].  In the sub-step that ends at use N, row r is brought up
-    to N only if P[r] + K[r] + (N - n[r]) * d_max reaches its threshold less
-    a rounding margin; no other row can cross by N (see "Why the pruned
-    decoder is exact" in notes/decisions.md).  The true row is always brought
-    up, so its sum at tau is the one the kernel's stop rule reads.
+    A trial walks the block schedule of ``_blocks`` in sub-steps of _SUBSTEP
+    uses.  Row r keeps its last computed use n[r], its carry K[r] at the start
+    of that use's block and its partial cumsum P[r] within the block, so
+    P[r] + K[r] is the float the batched kernel holds for it at use n[r].  In
+    the sub-step from use lo to N, row r is live while P[r] + K[r] +
+    (N - n[r]) * d_max reaches its threshold less a rounding margin; no other
+    row can cross by N (see "Why the pruned decoder is exact" in
+    notes/decisions.md).  Live rows behind lo come up in stages, one hash call
+    each, never past lo, tested again at N after each; the rows still live
+    then advance to N in one array, which holds the sub-step's crossings.  The
+    true row is always live, so its sum at tau is the kernel's stop rule's.
     """
     ld = dmc.log_density
     d_max = np.nextafter(dmc.density_max, np.inf)
@@ -260,38 +262,37 @@ def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.nda
     d_abs = np.nextafter(np.abs(ld[np.isfinite(ld)]).max(), np.inf)
     thr_lo = thresholds - 2.0 ** -50 * np.abs(thresholds)
     M = thresholds.size
+    # block edges and sub-step ends are multiples of the stage length
+    stage = math.gcd(_SUBSTEP, block, _BLOCK_MAX)
 
     def trial(cb_key, noise_key, w):
         cb = LazyCodebook(cb_key, dmc.caid_cum)
         n, K, P = np.zeros(M, np.int64), np.zeros(M), np.zeros(M)
-        edges, y = [0], np.zeros(0, np.int64)
+        # channel outputs and block starts, by use
+        y, first = np.zeros(0, np.int64), np.zeros(0, bool)
         for n0, size in _blocks(dmc, block):
             xw = cb.block([w], n0, size)[0]
             y = np.concatenate((y, dmc_steps(dmc, xw, _stream_uniforms(noise_key, n0, size))))
-            edges.append(n0 + size)
+            first = np.concatenate((first, np.arange(size) == 0))
             for lo in range(n0, n0 + size, _SUBSTEP):
                 N = min(lo + _SUBSTEP, n0 + size)
                 margin = 2.0 ** -50 * (N + 1) ** 2 * d_abs
                 live = (N - n) * d_max + (P + K) >= thr_lo - margin
                 live[w] = True
-                rows = np.flatnonzero(live)
-                starts = n[rows]
-                a_w, hit = n[w], None
-                for a in np.unique(starts).tolist():
-                    g = rows[starts == a]
-                    S = _catch_up(cb, ld, y, edges, g, a, N, K, P)
-                    n[g] = N
-                    if a == a_w:
-                        sw = S[np.searchsorted(g, w)]
-                    crossed = S[:, lo - N:] >= thresholds[g, None]
-                    col = crossed.any(axis=0)
-                    if col.any():
-                        c = int(col.argmax())
-                        first = (lo + 1 + c, int(g[crossed[:, c].argmax()]))
-                        hit = first if hit is None else min(hit, first)
-                if hit is not None:
-                    # the true row's sum at tau, the last column being use N
-                    return (*hit, sw[hit[0] - N - 1])
+                g = np.flatnonzero(live & (n < lo))
+                while g.size:
+                    _advance(cb, ld, y.reshape(-1, stage)[n[g] // stage], first, g, n, K, P)
+                    ok = (N - n[g]) * d_max + (P[g] + K[g]) >= thr_lo[g] - margin
+                    live[g[~ok]] = False
+                    g = g[ok & (n[g] < lo)]
+                g = np.flatnonzero(live)
+                S = _advance(cb, ld, y[lo:N], first, g, n, K, P) + K[g]
+                crossed = S >= thresholds[g]
+                col = crossed.any(axis=1)
+                if col.any():
+                    # the first crossing, smallest row on ties; the true row's sum
+                    c = int(col.argmax())
+                    return lo + 1 + c, g[crossed[c].argmax()], S[c, np.searchsorted(g, w)]
 
     cb_keys, noise_keys = fold_keys(keys, 1), fold_keys(keys, 2)
     tau, decoded, info_sum = np.zeros(w.size, np.int64), w.copy(), np.zeros(w.size)
@@ -300,31 +301,27 @@ def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.nda
     return tau, decoded, info_sum
 
 
-def _catch_up(cb: LazyCodebook, ld: np.ndarray, y: np.ndarray, edges: list,
-              g: np.ndarray, a: int, N: int, K: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Bring the rows g from use a to use N, updating their carries K and
-    partial cumsums P in place, and return their sums S = P + K over the
-    uses of the last block segment, a (rows, uses) array.
-
-    A row at the end of a block first folds its partial into its carry,
-    K = P + K, as the batched kernel carries S[-1]; a row inside a block
-    resumes its cumsum from P.  numpy's cumsum along an axis adds in order,
-    so the partials equal those of one cumsum over the whole block.
+def _advance(cb: LazyCodebook, ld: np.ndarray, y: np.ndarray, first: np.ndarray,
+             g: np.ndarray, n: np.ndarray, K: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Bring the rows g from their last computed uses n[g] over the next uses
+    of one block, whose channel outputs are y, (uses,) or (rows, uses), and
+    update n, the carries K and the partials P in place; return the partials,
+    a (uses, rows) array.  A row at a block's first use (``first[n]``) first
+    folds K = P + K, as the batched kernel carries S[-1].  Each row resumes
+    its cumsum from P one use at a time, in order, as np.cumsum over axis 0
+    adds but faster at many rows: the partials of one cumsum over the block.
     """
-    b = bisect_right(edges, a) - 1
-    while True:
-        lo, hi = max(a, edges[b]), min(N, edges[b + 1])
-        if lo == edges[b] and lo > 0:
-            K[g] += P[g]
-            P[g] = 0.0
-        D = ld[cb.block(g, lo, hi - lo), y[lo:hi]]
-        D[:, 0] += P[g]
-        np.cumsum(D, axis=1, out=D)
-        P[g] = D[:, -1]
-        if hi == N:
-            D += K[g][:, None]
-            return D
-        b += 1
+    s = n[g]
+    f = g[first[s]]
+    K[f] += P[f]
+    P[f] = 0.0
+    D = np.take(ld.ravel(), (cb.block(g, s, y.shape[-1]) * ld.shape[1] + y).T)
+    D[0] += P[g]
+    for c in range(1, len(D)):
+        D[c] += D[c - 1]
+    P[g] = D[-1]
+    n[g] += len(D)
+    return D
 
 
 def _batch_args(keys, w):

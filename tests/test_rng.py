@@ -50,6 +50,30 @@ def test_keyed_uniforms_2d_is_a_pure_function_of_key_row_col():
                           big[:, 10:22])
 
 
+@pytest.mark.parametrize("raw", [True, False])
+def test_keyed_uniforms_2d_with_one_start_per_row_stacks_the_one_start_calls(raw):
+    def stacked(key, rows, starts):
+        return np.stack([keyed_uniforms_2d(key, [r], int(s), 6, raw=raw)[0]
+                         for r, s in zip(rows, starts)])
+
+    # a start near 2^64 wraps its columns, as a one-start call does
+    rows = np.array([4, 0, 9, 4, 2])
+    starts = np.array([0, 8, 3, 2 ** 64 - 3, 1000], dtype=np.uint64)
+    got = keyed_uniforms_2d(42, rows, starts, 6, raw=raw)
+    assert got.dtype == (np.uint64 if raw else np.float64)
+    assert got.tobytes() == stacked(42, rows, starts).tobytes()
+
+    # an array of keys: rows and starts shared by every key, or one list each
+    keys = trial_keys(3, np.arange(3))
+    got = keyed_uniforms_2d(keys, rows, starts, 6, raw=raw)
+    assert got.tobytes() == np.stack([stacked(k, rows, starts) for k in keys]).tobytes()
+    rows_t = np.stack([rows, rows[::-1], rows + 7])
+    starts_t = np.stack([starts, starts + 5, starts[::-1]])
+    got = keyed_uniforms_2d(keys, rows_t, starts_t, 6, raw=raw)
+    want = np.stack([stacked(k, r, s) for k, r, s in zip(keys, rows_t, starts_t)])
+    assert got.shape == (3, 5, 6) and got.tobytes() == want.tobytes()
+
+
 def test_uniform_marginals():
     u = seed_stream(77, 0).uniforms(10 ** 6)
     assert np.all(u > 0) and np.all(u < 1)

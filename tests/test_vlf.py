@@ -1,5 +1,6 @@
 """Stop-feedback and zero-error variable-length codes with termination."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -385,19 +386,69 @@ def test_pruned_decoder_equals_the_batched_kernel(channel, kind, M, seed, trials
     keys = trial_keys(seed, np.arange(trials))
     w = prior.sample_many(keys)
     caught_up = []
-    catch_up = vlf._catch_up
+    advance = vlf._advance
 
-    def checked(cb, ld, y, edges, g, a, N, K, P):
+    def checked(cb, ld, y, first, g, n, K, P):
         # a row whose sum is -inf (a zero-probability transition) is never live
         assert np.isfinite(P[g] + K[g]).all()
         caught_up.append(g.size)
-        return catch_up(cb, ld, y, edges, g, a, N, K, P)
+        return advance(cb, ld, y, first, g, n, K, P)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vlf, "_catch_up", checked)
+        mp.setattr(vlf, "_advance", checked)
         pruned = _kernel_rows(dmc, prior, gamma, keys, w, 1)
     assert caught_up
     assert pruned == _kernel_rows(dmc, prior, gamma, keys, w, vlf.FULL_DECODER_MAX_SUPPORT + 1)
+
+
+def test_pruned_decoder_keeps_a_row_whose_rounding_runs_ahead_of_its_bound():
+    """The rounding margin of the bound test is the one at the sub-step's end
+    N, also when a lagging row is tested again after a stage.
+
+    Every codeword is all zeros over a noiseless channel whose one finite
+    density, d = 1 + 33 * 2^-52, is also the bound's d_max, so every row gains
+    d per use; from a sum of 64 on, each addition rounds up by 31 * 2^-52.
+    Row 0's threshold is its sum at use 120, which is 1,728 * 2^-52 above
+    120 d.  With the margin of a stage's end, 2^-50 * 81 d after the first
+    stage, the row would be dropped in the sub-step in which it crosses."""
+    d = 1 + 33 * 2.0 ** -52
+    dmc = copy.copy(NOISELESS)
+    dmc.caid_cum = np.array([1.0, 1.0])
+    dmc.log_density = np.array([[d, -np.inf], [-np.inf, d]])
+    dmc.density_max = d
+    # the first block holds use 120, so the sum there is one cumsum
+    s_120 = np.cumsum(np.full(120, d))[-1]
+    assert s_120 - 120 * d == 1728 * 2.0 ** -52
+    prior = MessagePrior([0.9, 0.1])
+    gamma = s_120 - prior.self_info[0]
+    while gamma + prior.self_info[0] < s_120:
+        gamma = np.nextafter(gamma, np.inf)
+    assert gamma + prior.self_info[0] == s_120
+    keys = trial_keys(0, [0])
+    got = [_kernel_rows(dmc, prior, gamma, keys, [1], rows)
+           for rows in (1, vlf.FULL_DECODER_MAX_SUPPORT + 1)]
+    assert got[0] == got[1] == repr([[120], [0], [1.0], [float(s_120)]])
+
+
+def test_pruned_decoder_hashes_lagging_rows_in_stages(monkeypatch):
+    """A row far behind is brought up in stages and dropped once its bound
+    fails, which the equality tests cannot see.  Hashing every live row
+    straight to the sub-step's end would cost 27,088 cells per trial here;
+    the stages cost 15,035."""
+    cells = []
+    hash_cells = vlf.keyed_uniforms_2d
+
+    def counted(*args, **kwargs):
+        h = hash_cells(*args, **kwargs)
+        cells.append(h.size)
+        return h
+
+    monkeypatch.setattr(vlf, "keyed_uniforms_2d", counted)
+    monkeypatch.setattr(vlf, "_PRUNE_ROWS", 1)
+    prior, keys = uniform_prior(1024), trial_keys(5, np.arange(200))
+    stop_feedback_many(bsc(0.11), prior, np.log(100), "full_decoder", keys,
+                       prior.sample_many(keys))
+    assert sum(cells) < 20_000 * keys.size
 
 
 @pytest.mark.parametrize("prune_rows", [1, vlf.FULL_DECODER_MAX_SUPPORT + 1])
