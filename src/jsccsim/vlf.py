@@ -12,22 +12,22 @@ arrays, _SUBSTEP uses at a time, and retires each trial at the end of the
 sub-step in which a stopping rule says so: the threshold crossing of
 stop-feedback (``stop_feedback_many``), one of the three VLFT rules
 (``vlft_many``), or use n_max of the length sum (``vlft_sum_many``), whose
-rule keeps only the terms up to it.  One schedule of blocks (``_blocks``),
-32 uses or more doubling to 512, fixes where the sums are carried and so
-their rounding; the sub-steps resume each block's cumsum and give its
-floats bit for bit.  Trial keys come from ``rng.trial_keys``, a vectorised
-fold over trial ids, messages from ``MessagePrior.sample_many``, and every
-trial follows the one block schedule, so its numbers are those it gets when
-run alone.  A stopping rule reads only the sub-step's sums and its own
-state: stop-feedback reports the true row's sum at tau, the float its
-threshold test compared, and the length sum adds its terms one use at a
-time, in order.
+rule keeps only the terms up to it.  Each row's sum is one running sum from
+use 1 that adds one density at a time, in use order, and each sub-step
+resumes it, so its floats do not depend on the sub-step size.  Trial keys
+come from ``rng.trial_keys``, a vectorised fold over trial ids, messages
+from ``MessagePrior.sample_many``, and a trial's sums depend only on its own
+keys, so its numbers are those it gets when run alone.  A stopping rule
+reads only the sub-step's sums and its own state: stop-feedback reports the
+true row's sum at tau, the float its threshold test compared, and the
+length sum adds its terms one use at a time, in order.
 
 The full decoder of ``stop_feedback_many`` takes one of two paths by the
 prior's row count.  Below _PRUNE_ROWS = 864 rows it runs the batched kernel.
 From 864 rows on, ``_pruned_trials`` runs one trial at a time and hashes
 only the rows whose sum can still reach their threshold, a lagging row in
-stages; its numbers are bit-identical to the kernel's (see notes/decisions.md).
+stages; it adds the same densities in the same order, so its numbers are
+the kernel's bit for bit (see notes/decisions.md).
 
 Codebook symbols are drawn on the raw uint64 hashes, compared with integer
 thresholds that reproduce inverse-CDF sampling of the uniforms exactly
@@ -38,7 +38,6 @@ stay as the per-trial API of the tests and golden transcripts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +49,6 @@ from .rng import (RngStream, _stream_uniforms, draw_cum, draw_symbols, fold_keys
                   hash_thresholds, keyed_uniforms_2d, run_trials, trial_keys)
 
 TRIAL_USE_CAP = 10 ** 9
-_BLOCK0 = 32
-_BLOCK_MAX = 512
 # Working-set cap of the kernel: (trial, row, column) cells per array of one
 # sub-step of a chunk of trials.  A chunk always takes at least one trial.
 _CELLS = 2 ** 17
@@ -163,40 +160,36 @@ def _chunk_trials(rows: int) -> int:
     return max(1, _CELLS // (rows * _SUBSTEP))
 
 
-def _blocks(dmc: Dmc, block: int):
-    """The block schedule, (first use, length) pairs: blocks of ``block`` uses
-    doubling up to _BLOCK_MAX, until a trial passes TRIAL_USE_CAP uses."""
-    n0, size = 0, block
+def _substeps(dmc: Dmc):
+    """First uses of the sub-steps, 0, _SUBSTEP, 2 _SUBSTEP, ..., until a
+    trial passes TRIAL_USE_CAP uses."""
+    lo = 0
     while True:
-        if n0 > TRIAL_USE_CAP:
+        if lo > TRIAL_USE_CAP:
             raise RuntimeError(f"trial exceeded {TRIAL_USE_CAP} channel uses "
                                f"(C={dmc.C}); check the configuration")
-        yield n0, size
-        n0 += size
-        size = min(2 * size, _BLOCK_MAX)
+        yield lo
+        lo += _SUBSTEP
 
 
 def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarray,
-                  block: int, stop, ids: np.ndarray):
+                  stop, ids: np.ndarray):
     """Advance the running information-density sums of the trials ``ids``
     sub-step by sub-step until ``stop`` retires each of them.
 
     Trial i has stream key keys[i] and sends row w_row[i] of its rows:
     ``rows`` is one row list shared by every trial (shape (R,)) or one per
     trial (shape (T, R)).  Codewords come from sub-stream 1 of each trial and
-    channel noise from sub-stream 2.  Every trial follows the block schedule
-    of ``_blocks``.
+    channel noise from sub-stream 2.
 
     The trials run in chunks of ``_chunk_trials(R)``, whose sub-step arrays
     (trial, row, column) have at most _CELLS cells; a chunk takes at least
-    one trial and runs its blocks until its last trial stops.  A block only
-    sets where a row's sum is carried: its sums are the carry K, the row's
-    sum over the uses before the block, plus the cumsum P of its densities
-    since the block started.  Within a block a chunk advances in sub-steps of
-    _SUBSTEP uses, resuming P from the previous sub-step, and a trial that
-    stops leaves at the end of its sub-step; at the block's end K += P.
-    These are the floats of one cumsum over the whole block (see "Why
-    sub-steps are exact" in notes/decisions.md).  Per sub-step,
+    one trial and advances in sub-steps of _SUBSTEP uses until its last trial
+    stops.  A sub-step adds the previous sub-step's last sum P to its first
+    density and runs np.cumsum along its uses, which adds in order, so every
+    sum is the one running sum from use 1, whatever the sub-step size (see
+    "Why sub-steps are exact" in notes/decisions.md); a trial that stops
+    leaves at the end of its sub-step.  Per sub-step,
     ``stop(idx, pos, lo, S)`` gets the live trials ``idx`` of the chunk,
     their positions ``pos`` in the chunk, the sub-step's first use lo and
     the sums S[j, r, c] of row r at use lo + c + 1; it returns which of the
@@ -207,92 +200,78 @@ def _running_sums(dmc: Dmc, keys: np.ndarray, rows: np.ndarray, w_row: np.ndarra
     chunk = _chunk_trials(R)
     for c in range(0, ids.size, chunk):
         idx = ids[c:c + chunk]
-        pos, K = np.arange(idx.size), np.zeros((idx.size, R))
-        for n0, length in _blocks(dmc, block):
-            P = np.zeros_like(K)
-            for lo in range(n0, n0 + length, _SUBSTEP):
-                n = min(_SUBSTEP, n0 + length - lo)
-                X = LazyCodebook(cb_keys[idx], dmc.caid_cum).block(
-                    rows if rows.ndim == 1 else rows[idx], lo, n)
-                y = dmc_steps(dmc, X[np.arange(idx.size), w_row[idx]],
-                              _stream_uniforms(noise_keys[idx], lo, n))
-                S = dmc.log_density[X, y[:, None, :]]
-                # sub-step arrays set the peak memory at large M (and the
-                # thread count times the working set with workers): drop
-                # each as soon as it is used
-                del X
-                # resume the block's cumsum: S becomes P, then P + K
-                S[:, :, 0] += P
-                np.cumsum(S, axis=2, out=S)
-                P = S[:, :, -1].copy()
-                S += K[:, :, None]
-                done = stop(idx, pos, lo, S)
-                del S
-                if done.any():
-                    keep = ~done
-                    pos, idx, K, P = pos[keep], idx[keep], K[keep], P[keep]
-                    if not idx.size:
-                        break
-            if not idx.size:
-                break
-            K += P
+        pos, P = np.arange(idx.size), np.zeros((idx.size, R))
+        for lo in _substeps(dmc):
+            X = LazyCodebook(cb_keys[idx], dmc.caid_cum).block(
+                rows if rows.ndim == 1 else rows[idx], lo, _SUBSTEP)
+            y = dmc_steps(dmc, X[np.arange(idx.size), w_row[idx]],
+                          _stream_uniforms(noise_keys[idx], lo, _SUBSTEP))
+            S = dmc.log_density[X, y[:, None, :]]
+            # sub-step arrays set the peak memory at large M (and the thread
+            # count times the working set with workers): drop each as soon
+            # as it is used
+            del X
+            # resume the running sums
+            S[:, :, 0] += P
+            np.cumsum(S, axis=2, out=S)
+            P = S[:, :, -1].copy()
+            done = stop(idx, pos, lo, S)
+            del S
+            if done.any():
+                keep = ~done
+                pos, idx, P = pos[keep], idx[keep], P[keep]
+                if not idx.size:
+                    break
 
 
-def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.ndarray,
-                   block: int):
+def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.ndarray):
     """(tau, decoded, info_sum) of full-decoder trials with stream keys
     ``keys`` and messages w, one trial at a time: the numbers ``_running_sums``
     gives, from only the rows that can still reach their threshold.
 
-    A trial walks the block schedule of ``_blocks`` in sub-steps of _SUBSTEP
-    uses.  Row r keeps its last computed use n[r], its carry K[r] at the start
-    of that use's block and its partial cumsum P[r] within the block, so
-    P[r] + K[r] is the float the batched kernel holds for it at use n[r].  In
-    the sub-step from use lo to N, row r is live while P[r] + K[r] +
-    (N - n[r]) * d_max reaches its threshold less a rounding margin; no other
-    row can cross by N (see "Why the pruned decoder is exact" in
-    notes/decisions.md).  Live rows behind lo come up in stages, one hash call
-    each, never past lo, tested again at N after each; the rows still live
-    then advance to N in one array, which holds the sub-step's crossings.  The
-    true row is always live, so its sum at tau is the kernel's stop rule's.
+    A trial advances in sub-steps of _SUBSTEP uses.  Row r keeps its last
+    computed use n[r] and its running sum P[r] there, the float the batched
+    kernel holds for it at use n[r].  In the sub-step from use lo to N, row r
+    is live while P[r] + (N - n[r]) * d_max reaches its threshold less a
+    rounding margin; no other row can cross by N (see "Why the pruned decoder
+    is exact" in notes/decisions.md).  Live rows behind lo come up in stages
+    of _SUBSTEP uses, one hash call each, never past lo, tested again at N
+    after each; the rows still live then advance to N in one array, which
+    holds the sub-step's crossings.  The true row is always live, so its sum
+    at tau is the kernel's stop rule's.
     """
     ld = dmc.log_density
     d_max = np.nextafter(dmc.density_max, np.inf)
-    # a computed sum over n uses is within 3 n^2 u d_abs of the exact one, u = 2^-53
+    # a computed sum over n uses is within n^2 u d_abs of the exact one, u = 2^-53
     d_abs = np.nextafter(np.abs(ld[np.isfinite(ld)]).max(), np.inf)
     thr_lo = thresholds - 2.0 ** -50 * np.abs(thresholds)
     M = thresholds.size
-    # block edges and sub-step ends are multiples of the stage length
-    stage = math.gcd(_SUBSTEP, block, _BLOCK_MAX)
 
     def trial(cb_key, noise_key, w):
         cb = LazyCodebook(cb_key, dmc.caid_cum)
-        n, K, P = np.zeros(M, np.int64), np.zeros(M), np.zeros(M)
-        # channel outputs and block starts, by use
-        y, first = np.zeros(0, np.int64), np.zeros(0, bool)
-        for n0, size in _blocks(dmc, block):
-            xw = cb.block([w], n0, size)[0]
-            y = np.concatenate((y, dmc_steps(dmc, xw, _stream_uniforms(noise_key, n0, size))))
-            first = np.concatenate((first, np.arange(size) == 0))
-            for lo in range(n0, n0 + size, _SUBSTEP):
-                N = min(lo + _SUBSTEP, n0 + size)
-                margin = 2.0 ** -50 * (N + 1) ** 2 * d_abs
-                live = (N - n) * d_max + (P + K) >= thr_lo - margin
-                live[w] = True
-                g = np.flatnonzero(live & (n < lo))
-                while g.size:
-                    _advance(cb, ld, y.reshape(-1, stage)[n[g] // stage], first, g, n, K, P)
-                    ok = (N - n[g]) * d_max + (P[g] + K[g]) >= thr_lo[g] - margin
-                    live[g[~ok]] = False
-                    g = g[ok & (n[g] < lo)]
-                g = np.flatnonzero(live)
-                S = _advance(cb, ld, y[lo:N], first, g, n, K, P) + K[g]
-                crossed = S >= thresholds[g]
-                col = crossed.any(axis=1)
-                if col.any():
-                    # the first crossing, smallest row on ties; the true row's sum
-                    c = int(col.argmax())
-                    return lo + 1 + c, g[crossed[c].argmax()], S[c, np.searchsorted(g, w)]
+        n, P = np.zeros(M, np.int64), np.zeros(M)
+        y = np.zeros(0, np.int64)  # channel outputs, by use
+        for lo in _substeps(dmc):
+            N = lo + _SUBSTEP
+            xw = cb.block([w], lo, _SUBSTEP)[0]
+            y = np.concatenate((y, dmc_steps(dmc, xw, _stream_uniforms(noise_key, lo, _SUBSTEP))))
+            margin = 2.0 ** -50 * (N + 1) ** 2 * d_abs
+            live = (N - n) * d_max + P >= thr_lo - margin
+            live[w] = True
+            g = np.flatnonzero(live & (n < lo))
+            while g.size:
+                _advance(cb, ld, y.reshape(-1, _SUBSTEP)[n[g] // _SUBSTEP], g, n, P)
+                ok = (N - n[g]) * d_max + P[g] >= thr_lo[g] - margin
+                live[g[~ok]] = False
+                g = g[ok & (n[g] < lo)]
+            g = np.flatnonzero(live)
+            S = _advance(cb, ld, y[lo:N], g, n, P)
+            crossed = S >= thresholds[g]
+            col = crossed.any(axis=1)
+            if col.any():
+                # the first crossing, smallest row on ties; the true row's sum
+                c = int(col.argmax())
+                return lo + 1 + c, g[crossed[c].argmax()], S[c, np.searchsorted(g, w)]
 
     cb_keys, noise_keys = fold_keys(keys, 1), fold_keys(keys, 2)
     tau, decoded, info_sum = np.zeros(w.size, np.int64), w.copy(), np.zeros(w.size)
@@ -301,20 +280,15 @@ def _pruned_trials(dmc: Dmc, thresholds: np.ndarray, keys: np.ndarray, w: np.nda
     return tau, decoded, info_sum
 
 
-def _advance(cb: LazyCodebook, ld: np.ndarray, y: np.ndarray, first: np.ndarray,
-             g: np.ndarray, n: np.ndarray, K: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Bring the rows g from their last computed uses n[g] over the next uses
-    of one block, whose channel outputs are y, (uses,) or (rows, uses), and
-    update n, the carries K and the partials P in place; return the partials,
-    a (uses, rows) array.  A row at a block's first use (``first[n]``) first
-    folds K = P + K, as the batched kernel carries S[-1].  Each row resumes
-    its cumsum from P one use at a time, in order, as np.cumsum over axis 0
-    adds but faster at many rows: the partials of one cumsum over the block.
+def _advance(cb: LazyCodebook, ld: np.ndarray, y: np.ndarray, g: np.ndarray,
+             n: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Bring the rows g from their last computed uses n[g] over the next uses,
+    whose channel outputs are y, (uses,) or (rows, uses), and update n and
+    the running sums P in place; return the sums, a (uses, rows) array.  Each
+    row resumes its sum from P one use at a time, in order, as np.cumsum over
+    axis 0 adds but faster at many rows.
     """
     s = n[g]
-    f = g[first[s]]
-    K[f] += P[f]
-    P[f] = 0.0
     D = np.take(ld.ravel(), (cb.block(g, s, y.shape[-1]) * ld.shape[1] + y).T)
     D[0] += P[g]
     for c in range(1, len(D)):
@@ -385,15 +359,10 @@ def stop_feedback_many(dmc: Dmc, prior: MessagePrior, gamma: float, mode: str,
         info_sum[t] = S[j, w[t] if full else 0, col]
         return hit
 
-    # The first block fixes where the sums are carried, and so the rounding
-    # of every sum after it: it stays at this size so that records stay
-    # bit-identical, while stopped trials leave at their sub-step's end.
-    expect = (prior.entropy + gamma + dmc.a0) / dmc.C
-    block0 = int(np.clip(32 * np.ceil(1.25 * expect / 32), _BLOCK0, _BLOCK_MAX))
     if full and prior.size >= _PRUNE_ROWS:
-        tau, decoded, info_sum = _pruned_trials(dmc, thresholds, keys, w, block0)
+        tau, decoded, info_sum = _pruned_trials(dmc, thresholds, keys, w)
     else:
-        _running_sums(dmc, keys, rows, w if full else np.zeros_like(w), block0, stop,
+        _running_sums(dmc, keys, rows, w if full else np.zeros_like(w), stop,
                       np.arange(w.size))
     error = (decoded != w).astype(np.float64) if full else np.full(w.size, np.exp(-gamma))
     return tau, decoded, error, info_sum
@@ -511,7 +480,7 @@ def vlft_many(dmc: Dmc, prior: MessagePrior, keys, w, decode_rule: str = "map_st
             decoded[t] = M - 1 - dom[j, ::-1, col].argmax(axis=1)
         return hit
 
-    _running_sums(dmc, keys, np.arange(M), w, _BLOCK0, stop, np.flatnonzero(~at0))
+    _running_sums(dmc, keys, np.arange(M), w, stop, np.flatnonzero(~at0))
     return tau, decoded, (decoded != w).astype(np.float64)
 
 
@@ -536,8 +505,7 @@ def vlft_sum_many(dmc: Dmc, prior: MessagePrior, keys, w, n_max: int):
         return np.full(idx.size, lo + S.shape[2] >= n_max)
 
     if n_max > 0:
-        _running_sums(dmc, keys, w[:, None], np.zeros_like(w), _BLOCK0, stop,
-                      np.arange(w.size))
+        _running_sums(dmc, keys, w[:, None], np.zeros_like(w), stop, np.arange(w.size))
     return total, last
 
 

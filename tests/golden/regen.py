@@ -174,7 +174,7 @@ CALLS = [
         ("vlft_map_stop", _vlft, "map_stop"),
         ("vlft_first_dominance", _vlft, "first_dominance"),
         ("vlft_largest_at_stop", _vlft, "largest_at_stop"),
-        # 300 is not a block boundary of the 32, 64, 128, ... schedule
+        # 300 ends inside a sub-step of 8 uses
         ("vlft_sum_n300", _vlft_sum, 300),
     )
 ] + [

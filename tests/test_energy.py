@@ -244,6 +244,37 @@ def test_awgn_converse_zero_dispersion_closed_form():
     assert got == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_awgn_converse_gaussian_matches_one_quadrature_per_gamma(k):
+    """The one Gauss-Legendre rule that every gamma shares gives what one
+    adaptive quadrature per gamma over the chi-square statistic gives."""
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+    from scipy.stats import chi2
+
+    rd, N0 = ba_rate_distortion(gaussian_source(1.0), 0.1), 2.0
+    base, top = k * rd.rate - 0.5 * k, k + 40 * np.sqrt(2 * k)
+    for E in (0.0, 6.0):
+        mu, sig = E / N0, np.sqrt(2 * E / N0)
+        for gamma in (0.01, 1.0, 3.0, 10.0):
+            if E:
+                p = quad(lambda x: chi2.pdf(x, k) * ndtr((base + 0.5 * x - gamma - mu) / sig),
+                         0, top, epsabs=1e-12, limit=200)[0]
+            else:  # sum j >= gamma + mu where x >= c
+                c = 2 * (gamma + mu - base)
+                p = quad(chi2.pdf, max(c, 0.0), top, args=(k,), epsabs=1e-12, limit=200)[0]
+            want = max(p - np.exp(-gamma), 0.0)
+            got = awgn_jscc_converse(rd, k, E, N0, gamma=gamma)
+            assert got == pytest.approx(want, abs=1e-10), (E, gamma)
+
+
+def test_awgn_converse_is_at_most_one():
+    # at k=100 the sum of tilted informations sits far above every gamma of
+    # the grid, so the probability term rounds to 1 and exp(-gamma) to 0
+    rd = ba_rate_distortion(gaussian_source(1.0), 0.1)
+    assert awgn_jscc_converse(rd, 100, 6.0, 2.0) == 1.0
+
+
 def test_awgn_converse_gaussian_matches_monte_carlo():
     rd = ba_rate_distortion(gaussian_source(1.0), 0.25)
     k, N0, gamma, E = 6, 2.0, 2.0, 10.0

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsccsim import harness, vlf
-from jsccsim.channels import Dmc, bec, bsc
+from jsccsim.channels import Dmc, bec, bsc, dmc_steps
 from jsccsim.info import LN2
-from jsccsim.rng import seed_stream, trial_keys
+from jsccsim.rng import _stream_uniforms, fold_keys, seed_stream, trial_keys
 from jsccsim.vlf import (MessagePrior, geometric_prior,
                          stop_feedback_length_bound, stop_feedback_many,
                          stop_feedback_transmit, uniform_prior, vlf_converse_length,
@@ -241,13 +241,13 @@ CHANNELS = {"bsc": bsc(0.11),
             "dmc3": Dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]])}
 PRIOR7 = MessagePrior([0.4, 0.2, 0.15, 0.1, 0.07, 0.05, 0.03])
 GAMMA = float(np.log(100))
-# 45 and 300 cut the second and fourth blocks of the 32, 64, 128, ... schedule
+# 45 and 300 end inside a sub-step of 8 uses
 KINDS = ["full_decoder", "true_path", "map_stop", "first_dominance", "largest_at_stop",
          "sum_45", "sum_300"]
 
 
 def _batch_rows(kind, dmc, keys):
-    """Rows of one batch of the block kernel, as Python scalars."""
+    """Rows of one batch of the kernel, as Python scalars."""
     w = PRIOR7.sample_many(keys)
     if kind.startswith("sum_"):
         cols = vlft_sum_many(dmc, PRIOR7, keys, w, int(kind[4:]))
@@ -317,7 +317,7 @@ def test_one_trial_steps_give_the_same_records(monkeypatch):
 @pytest.mark.parametrize("n_max", [1, 5, 8, 9, 33])
 def test_length_sum_stops_at_n_max_within_a_substep(monkeypatch, n_max):
     """The length sum keeps the terms of the uses up to n_max, also where
-    n_max ends inside a sub-step or one use into the second block: its
+    n_max ends inside a sub-step or one use into the second: its
     totals and last terms are those of sub-steps of one use, and each total
     is the previous one plus its last term."""
     dmc, keys = CHANNELS["dmc3"], trial_keys(3, np.arange(50))
@@ -354,6 +354,48 @@ def test_full_decoder_reports_the_sum_its_threshold_test_saw(monkeypatch, channe
     assert repr(info_sum[same].tolist()) == repr(info_sum_tp[same].tolist())
 
 
+def _true_row_sums(dmc, keys, w, uses):
+    """The true row's sums at uses 1 to uses[t] of each trial, rebuilt from
+    its codeword and channel outputs with one np.cumsum from use 1."""
+    cb_keys, noise_keys = fold_keys(keys, 1), fold_keys(keys, 2)
+    for cb_key, noise_key, wt, n in zip(cb_keys, noise_keys, w, uses):
+        x = vlf.LazyCodebook(cb_key, dmc.caid_cum).block([wt], 0, int(n))[0]
+        y = dmc_steps(dmc, x, _stream_uniforms(noise_key, 0, int(n)))
+        yield np.cumsum(dmc.log_density[x, y])
+
+
+@pytest.mark.parametrize("M", [16, 1024])
+@pytest.mark.parametrize("channel", list(CHANNELS))
+@pytest.mark.parametrize("kind, prune_rows, arg", [
+    *[(mode, rows, gamma) for gamma in (np.log(100), np.log(1e6))
+      for mode, rows in (("true_path", None), ("full_decoder", 1),
+                         ("full_decoder", vlf.FULL_DECODER_MAX_SUPPORT + 1))],
+    ("length_sum", None, 45), ("length_sum", None, 300)])
+def test_every_sum_is_one_running_sum_from_use_one(monkeypatch, kind, prune_rows, arg,
+                                                   channel, M):
+    """Stop-feedback's info_sum at tau, on either full-decoder path, and the
+    length sum's terms up to n_max are those of the true row's one running
+    sum from use 1, which adds one density at a time in use order."""
+    dmc, prior = CHANNELS[channel], uniform_prior(M)
+    keys = trial_keys(7, np.arange(300))
+    w = prior.sample_many(keys)
+    if prune_rows is not None:
+        monkeypatch.setattr(vlf, "_PRUNE_ROWS", prune_rows)
+    if kind == "length_sum":
+        got = vlft_sum_many(dmc, prior, keys, w, arg)
+        want = [[], []]
+        for S, iw in zip(_true_row_sums(dmc, keys, w, np.full(w.size, arg)),
+                         prior.self_info[w]):
+            terms = np.exp(-np.maximum(S - iw, 0.0))
+            want[0].append(np.cumsum(np.concatenate(([1.0], terms)))[-1])
+            want[1].append(terms[-1])
+    else:
+        tau, _, _, info_sum = stop_feedback_many(dmc, prior, arg, kind, keys, w)
+        got = [info_sum]
+        want = [[S[-1] for S in _true_row_sums(dmc, keys, w, tau)]]
+    assert repr([c.tolist() for c in got]) == repr([[float(v) for v in c] for c in want])
+
+
 def _kernel_rows(dmc, prior, gamma, keys, w, prune_rows):
     """(tau, decoded, error, info_sum) of full-decoder trials with the pruning
     switch at ``prune_rows``, as one repr."""
@@ -388,11 +430,11 @@ def test_pruned_decoder_equals_the_batched_kernel(channel, kind, M, seed, trials
     caught_up = []
     advance = vlf._advance
 
-    def checked(cb, ld, y, first, g, n, K, P):
+    def checked(cb, ld, y, g, n, P):
         # a row whose sum is -inf (a zero-probability transition) is never live
-        assert np.isfinite(P[g] + K[g]).all()
+        assert np.isfinite(P[g]).all()
         caught_up.append(g.size)
-        return advance(cb, ld, y, first, g, n, K, P)
+        return advance(cb, ld, y, g, n, P)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vlf, "_advance", checked)
@@ -416,7 +458,7 @@ def test_pruned_decoder_keeps_a_row_whose_rounding_runs_ahead_of_its_bound():
     dmc.caid_cum = np.array([1.0, 1.0])
     dmc.log_density = np.array([[d, -np.inf], [-np.inf, d]])
     dmc.density_max = d
-    # the first block holds use 120, so the sum there is one cumsum
+    # every sum is one running sum from use 1
     s_120 = np.cumsum(np.full(120, d))[-1]
     assert s_120 - 120 * d == 1728 * 2.0 ** -52
     prior = MessagePrior([0.9, 0.1])
